@@ -413,7 +413,7 @@ fn main() {
         let rungs = result.meta.ladder.recovered_by_rung;
         eprintln!(
             "fig11: chaos {} scenarios, {} solves under injection ({} struck, {:.0}%), \
-             rungs [first={} cold={} refactor={} swap={} bland={} dense={}], \
+             rungs [first={} cold={} refactor={} bland={} dense={}], \
              {} unrecovered, {} panics healed",
             result.meta.scenarios,
             result.meta.ladder.solves,
@@ -424,7 +424,6 @@ fn main() {
             rungs[2],
             rungs[3],
             rungs[4],
-            rungs[5],
             result.meta.ladder.unrecovered,
             result.meta.panics_healed,
         );

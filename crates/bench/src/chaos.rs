@@ -99,10 +99,8 @@ impl ChaosBenchConfig {
 /// Counter delta of one batch phase (field-wise difference of two
 /// [`ChaosCounters`] snapshots).
 fn counters_delta(after: &ChaosCounters, before: &ChaosCounters) -> ChaosCounters {
-    let mut recovered_by_rung = [0u64; 6];
-    for (i, slot) in recovered_by_rung.iter_mut().enumerate() {
-        *slot = after.recovered_by_rung[i] - before.recovered_by_rung[i];
-    }
+    let recovered_by_rung =
+        std::array::from_fn(|i| after.recovered_by_rung[i] - before.recovered_by_rung[i]);
     ChaosCounters {
         solves: after.solves - before.solves,
         injected: after.injected - before.injected,

@@ -1,100 +1,31 @@
-//! Basis factorizations for the revised simplex.
+//! The basis factorization of the revised simplex: a product-form eta
+//! file.
 //!
 //! The revised engine never forms `B⁻¹` explicitly: every iteration needs
 //! `B⁻¹ x` (FTRAN) and `B⁻ᵀ x` (BTRAN) against the current basis matrix,
-//! plus a cheap *update* when one basis column is exchanged by a pivot. The
-//! [`BasisFactorization`] trait captures exactly that contract, and the
-//! crate ships two implementations:
+//! plus a cheap *update* when one basis column is exchanged by a pivot.
+//! [`EtaBasis`] provides exactly that: a file of elementary Gauss–Jordan
+//! *eta* transforms, rebuilt by triangularization-ordered elimination on
+//! every refactorization and extended by one eta per pivot. Per-pivot
+//! FTRAN/BTRAN cost grows with the eta-file length between
+//! refactorizations, so the engine refactorizes on a fixed pivot schedule
+//! and whenever the stored fill outgrows a small multiple of the matrix
+//! ([`EtaBasis::wants_refactor`]).
 //!
-//! * [`EtaBasis`] — the historical product-form engine: a file of elementary
-//!   Gauss–Jordan *eta* transforms rebuilt by triangularization-ordered
-//!   elimination, with one eta appended per pivot. Simple and robust, but
-//!   per-pivot FTRAN/BTRAN cost grows with the eta-file length between
-//!   refactorizations. Selectable with `PM_LP_BASIS=eta`; kept as the
-//!   differential oracle for the LU engine.
-//! * [`LuBasis`] — the default: a proper sparse LU factorization
-//!   (Markowitz-ordered right-looking elimination with threshold partial
-//!   pivoting) updated by Forrest–Tomlin pivot updates. A pivot replaces one
-//!   column of `U` with the update *spike* and restores triangularity with a
-//!   single sparse row transform, so per-pivot FTRAN/BTRAN cost stays
-//!   proportional to the (bounded) `L`/`U` fill instead of scaling with the
-//!   number of updates performed.
-//!
-//! Both implementations maintain the same external invariant the engine
-//! relies on: after [`BasisFactorization::refactorize`], basis slot `r`
-//! holds the column whose pivot landed on row `r`, so the FTRANed
-//! representation of a column is indexed by constraint row exactly like the
-//! right-hand side.
+//! After [`EtaBasis::refactorize`], basis slot `r` holds the column whose
+//! pivot landed on row `r`, so the FTRANed representation of a column is
+//! indexed by constraint row exactly like the right-hand side.
 
 use crate::sparse::CscMatrix;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Entries smaller than this are dropped from stored factor vectors.
+/// Entries smaller than this are dropped from stored eta vectors.
 const DROP_TOL: f64 = 1e-12;
 
-/// A pivot element below this magnitude (relative to its column) makes a
-/// factorization step singular.
+/// A pivot element below this magnitude makes a refactorization step
+/// singular.
 const SINGULAR_TOL: f64 = 1e-10;
-
-/// Threshold partial pivoting: an LU pivot candidate must be at least this
-/// fraction of the largest magnitude in its column.
-const MARKOWITZ_THRESHOLD: f64 = 0.1;
-
-/// An LP basis factorization: triangular solves against the basis matrix
-/// plus rank-one pivot updates.
-///
-/// The engine guarantees the call discipline the implementations rely on:
-///
-/// 1. [`refactorize`](BasisFactorization::refactorize) installs a basis (and
-///    may permute the slot order of `basis` so slot `r` pivots on row `r`).
-/// 2. [`ftran_sparse`](BasisFactorization::ftran_sparse) computes
-///    `B⁻¹ a_q` for a candidate entering column; `touched` lists every index
-///    whose value may be nonzero (deduplicated through `stamp`/`epoch`).
-/// 3. [`update`](BasisFactorization::update) is only ever called with the
-///    pivot row chosen from the **most recent** `ftran_sparse` result — the
-///    LU implementation stashes the partial (pre-`U`) solve as the
-///    Forrest–Tomlin spike between the two calls.
-pub trait BasisFactorization {
-    /// Rebuilds the factorization from scratch for the given basis columns
-    /// of `a`. May permute `basis` (slot `r` ends up holding the column
-    /// whose pivot row is `r`). Returns `false` when the basis is singular.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool;
-
-    /// Dense FTRAN: computes `B⁻¹ x` in place.
-    fn ftran(&self, x: &mut [f64]);
-
-    /// Dense BTRAN: computes `B⁻ᵀ x` in place.
-    fn btran(&self, x: &mut [f64]);
-
-    /// Sparsity-exploiting FTRAN: the caller seeds `x` with the input
-    /// column and `touched` with its nonzero pattern; the implementation
-    /// maintains the invariant that every index whose value may be nonzero
-    /// is listed in `touched` (deduplicated through the `stamp`/`epoch`
-    /// markers).
-    fn ftran_sparse(
-        &mut self,
-        x: &mut [f64],
-        touched: &mut Vec<u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-    );
-
-    /// Applies the basis exchange of a pivot on `row`, with `w` holding the
-    /// most recent [`ftran_sparse`](BasisFactorization::ftran_sparse) result
-    /// (pattern in `touched`). Returns `false` when the update is
-    /// numerically untrustworthy — the caller must refactorize.
-    fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) -> bool;
-
-    /// Pivot updates applied since the last refactorization.
-    fn updates_since_refactor(&self) -> usize;
-
-    /// Whether accumulated fill warrants an early refactorization (the
-    /// engine also refactorizes on a fixed update-count schedule).
-    fn wants_refactor(&self, a: &CscMatrix) -> bool;
-}
-
-// ---------------------------------------------------------------------------
-// Product-form (eta file) basis
-// ---------------------------------------------------------------------------
 
 /// The eta file: elementary Gauss–Jordan transforms stored in flat arrays.
 ///
@@ -160,10 +91,9 @@ impl EtaFile {
     }
 
     /// Sparsity-exploiting FTRAN: like [`EtaFile::ftran`], but maintains the
-    /// `touched` invariant of [`BasisFactorization::ftran_sparse`]. Etas
-    /// whose pivot row is untouched are skipped entirely, so the cost is
-    /// proportional to the fill actually created rather than to `m` or to
-    /// the eta-file size.
+    /// `touched` invariant of [`EtaBasis::ftran_sparse`]. Etas whose pivot
+    /// entry is zero are skipped after one lookup, so the arithmetic is
+    /// proportional to the fill actually created rather than to `m`.
     fn ftran_sparse(&self, x: &mut [f64], touched: &mut Vec<u32>, stamp: &mut [u32], epoch: u32) {
         for k in 0..self.len() {
             let r = self.pivot_row[k] as usize;
@@ -211,18 +141,33 @@ pub struct EtaBasis {
     touched: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
+    /// During a refactorization: the eta pivoting on each row, or
+    /// `u32::MAX` while the row is not yet eliminated.
+    eta_at_row: Vec<u32>,
+    /// During a refactorization: the etas still to apply to the column
+    /// being FTRANed, smallest index first.
+    pending: BinaryHeap<Reverse<u32>>,
 }
 
 impl EtaBasis {
-    /// An empty factorization (callers must `refactorize` before solving).
+    /// An empty eta file, i.e. the factorization of the identity: the
+    /// engine's all-slack/artificial start basis is ready for pivot updates
+    /// without a prior [`EtaBasis::refactorize`].
     pub fn new() -> Self {
         let mut basis = EtaBasis::default();
         basis.etas.clear();
         basis
     }
 
-    /// FTRAN of column `j` of `a` into the internal scratch, tracking its
-    /// nonzero pattern.
+    /// FTRAN of column `j` of `a` through the partially rebuilt eta file
+    /// into the internal scratch, tracking its nonzero pattern.
+    ///
+    /// Every row pivots at most once during a refactorization, so only the
+    /// etas pivoting on a touched row can act on the column. They are
+    /// visited through `pending` in file order, which skips the untouched
+    /// ones without scanning them: each column costs its own fill instead
+    /// of the file length, and the arithmetic and the order of `touched`
+    /// are exactly those of a full [`EtaFile::ftran_sparse`] pass.
     fn ftran_col_scratch(&mut self, a: &CscMatrix, j: usize) {
         let m = a.rows();
         if self.work.len() < m {
@@ -241,28 +186,56 @@ impl EtaBasis {
             self.epoch = 1;
         }
         let (rows, vals) = a.col(j);
+        self.pending.clear();
         for (&r, &v) in rows.iter().zip(vals) {
             self.stamp[r as usize] = self.epoch;
             self.touched.push(r);
             self.work[r as usize] = v;
+            let k = self.eta_at_row[r as usize];
+            if k != u32::MAX {
+                self.pending.push(Reverse(k));
+            }
         }
-        let (work, touched, stamp) = (&mut self.work, &mut self.touched, &mut self.stamp);
-        self.etas.ftran_sparse(work, touched, stamp, self.epoch);
+        let etas = &self.etas;
+        while let Some(Reverse(k)) = self.pending.pop() {
+            let k = k as usize;
+            let r = etas.pivot_row[k] as usize;
+            let xr = self.work[r];
+            if xr == 0.0 {
+                continue;
+            }
+            let t = xr / etas.pivot_val[k];
+            self.work[r] = t;
+            for e in etas.starts[k]..etas.starts[k + 1] {
+                let i = etas.idx[e] as usize;
+                if self.stamp[i] != self.epoch {
+                    self.stamp[i] = self.epoch;
+                    self.touched.push(i as u32);
+                    // An eta earlier than `k` already passed this row by
+                    // while it was zero; only a later one can still act.
+                    let ki = self.eta_at_row[i];
+                    if ki != u32::MAX && ki as usize > k {
+                        self.pending.push(Reverse(ki));
+                    }
+                }
+                self.work[i] -= etas.val[e] * t;
+            }
+        }
     }
-}
 
-impl BasisFactorization for EtaBasis {
-    /// Rebuilds the eta file for the basis by Gauss–Jordan elimination,
-    /// pivoting columns in increasing-nonzero-count order (the
+    /// Rebuilds the eta file for the basis columns of `a` by Gauss–Jordan
+    /// elimination, pivoting columns in increasing-nonzero-count order (the
     /// triangularization heuristic) with partial pivoting over the rows not
-    /// yet eliminated.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
+    /// yet eliminated. Permutes `basis` so slot `r` holds the column whose
+    /// pivot landed on row `r`. Returns `false` when the basis is singular.
+    pub fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
         self.etas.clear();
         self.updates = 0;
         let m = a.rows();
         let mut order: Vec<usize> = (0..m).collect();
         order.sort_by_key(|&r| a.col_nnz(basis[r]));
-        let mut pivoted = vec![false; m];
+        self.eta_at_row.clear();
+        self.eta_at_row.resize(m, u32::MAX);
         let mut new_basis = vec![usize::MAX; m];
         for &pos in &order {
             let j = basis[pos];
@@ -274,7 +247,7 @@ impl BasisFactorization for EtaBasis {
             for &i in &self.touched {
                 let r = i as usize;
                 let w = self.work[r].abs();
-                if !pivoted[r] && w > best_abs {
+                if self.eta_at_row[r] == u32::MAX && w > best_abs {
                     best_abs = w;
                     best_row = r;
                 }
@@ -282,24 +255,30 @@ impl BasisFactorization for EtaBasis {
             if best_abs <= SINGULAR_TOL {
                 return false;
             }
+            self.eta_at_row[best_row] = self.etas.len() as u32;
             self.etas.push_sparse(best_row, &self.work, &self.touched);
-            pivoted[best_row] = true;
             new_basis[best_row] = j;
         }
         basis.copy_from_slice(&new_basis);
         true
     }
 
-    fn ftran(&self, x: &mut [f64]) {
+    /// Dense FTRAN: computes `B⁻¹ x` in place.
+    pub fn ftran(&self, x: &mut [f64]) {
         self.etas.ftran(x);
     }
 
-    fn btran(&self, x: &mut [f64]) {
+    /// Dense BTRAN: computes `B⁻ᵀ x` in place.
+    pub fn btran(&self, x: &mut [f64]) {
         self.etas.btran(x);
     }
 
-    fn ftran_sparse(
-        &mut self,
+    /// Sparsity-exploiting FTRAN: the caller seeds `x` with the input
+    /// column and `touched` with its nonzero pattern; on return every index
+    /// whose value may be nonzero is listed in `touched` (deduplicated
+    /// through the `stamp`/`epoch` markers).
+    pub fn ftran_sparse(
+        &self,
         x: &mut [f64],
         touched: &mut Vec<u32>,
         stamp: &mut [u32],
@@ -308,720 +287,23 @@ impl BasisFactorization for EtaBasis {
         self.etas.ftran_sparse(x, touched, stamp, epoch);
     }
 
-    fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) -> bool {
+    /// Applies the basis exchange of a pivot on `row`: `w` is the FTRANed
+    /// entering column with its (potential) nonzeros listed in `touched`.
+    pub fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) {
         self.etas.push_sparse(row, w, touched);
         self.updates += 1;
-        true
     }
 
-    fn updates_since_refactor(&self) -> usize {
+    /// Pivot updates applied since the last refactorization.
+    pub fn updates_since_refactor(&self) -> usize {
         self.updates
     }
 
-    fn wants_refactor(&self, a: &CscMatrix) -> bool {
+    /// Whether the stored eta fill has outgrown a small multiple of `a`,
+    /// warranting an early refactorization (the engine also refactorizes
+    /// on a fixed update-count schedule).
+    pub fn wants_refactor(&self, a: &CscMatrix) -> bool {
         self.etas.nnz() > 4 * a.nnz() + 16 * a.rows()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU with Forrest–Tomlin updates
-// ---------------------------------------------------------------------------
-
-/// One elementary transform on the `L` side of the factorization.
-///
-/// * `Col` ops come from the Gaussian elimination of the factorization:
-///   FTRAN applies `x_i -= l_i · x_pivot` for every entry `(i, l_i)`.
-/// * `Row` ops come from Forrest–Tomlin updates: FTRAN applies
-///   `x_pivot -= Σ f_k · x_k` over the entries `(k, f_k)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LOpKind {
-    Col,
-    Row,
-}
-
-/// The default basis engine: sparse LU (`B = L·U` under row/column
-/// permutations) built by Markowitz-ordered right-looking elimination with
-/// threshold partial pivoting, updated in place by Forrest–Tomlin pivot
-/// updates (see the [module docs](self)).
-#[derive(Debug, Default)]
-pub struct LuBasis {
-    m: usize,
-    // L side: elementary transforms in application order (factorization
-    // column ops followed by update row ops), stored in flat arrays.
-    op_kind: Vec<LOpKind>,
-    op_pivot: Vec<u32>,
-    op_start: Vec<usize>,
-    op_idx: Vec<u32>,
-    op_val: Vec<f64>,
-    /// `U` columns keyed by pivot row: `ucol[r]` holds the off-diagonal
-    /// entries `(row, value)` of the column whose pivot row is `r`; every
-    /// entry's row has a strictly earlier pivot position than `r`.
-    ucol: Vec<Vec<(u32, f64)>>,
-    /// Diagonal (pivot) element of the column keyed by pivot row `r`.
-    udiag: Vec<f64>,
-    /// Pivot order: `row_of_pos[p]` is the pivot row at position `p`.
-    row_of_pos: Vec<u32>,
-    /// Inverse of `row_of_pos`.
-    pos_of_row: Vec<u32>,
-    /// Lazy row index of `U`: `urows[r]` lists column keys that may contain
-    /// an entry at row `r` (entries can be stale after column replacements;
-    /// consumers re-validate against `ucol`).
-    urows: Vec<Vec<u32>>,
-    /// The Forrest–Tomlin spike of the most recent `ftran_sparse`: the
-    /// partial solve `L⁻¹ a_q` captured between the `L` ops and the `U`
-    /// back-substitution.
-    spike_rows: Vec<u32>,
-    spike_vals: Vec<f64>,
-    updates: usize,
-    /// Stored nonzeros of `U` (diagonals included), tracked across updates.
-    unnz: usize,
-    // Scratch (factorization + update).
-    scratch: Vec<f64>,
-    scratch_stamp: Vec<u32>,
-    scratch_epoch: u32,
-}
-
-impl LuBasis {
-    /// An empty factorization (callers must `refactorize` before solving).
-    pub fn new() -> Self {
-        LuBasis::default()
-    }
-
-    fn reset(&mut self, m: usize) {
-        self.m = m;
-        self.op_kind.clear();
-        self.op_pivot.clear();
-        self.op_start.clear();
-        self.op_start.push(0);
-        self.op_idx.clear();
-        self.op_val.clear();
-        self.ucol.clear();
-        self.ucol.resize(m, Vec::new());
-        self.udiag.clear();
-        self.udiag.resize(m, 0.0);
-        self.row_of_pos.clear();
-        self.row_of_pos.resize(m, 0);
-        self.pos_of_row.clear();
-        self.pos_of_row.resize(m, 0);
-        self.urows.clear();
-        self.urows.resize(m, Vec::new());
-        self.spike_rows.clear();
-        self.spike_vals.clear();
-        self.updates = 0;
-        self.unnz = 0;
-        if self.scratch.len() < m {
-            self.scratch = vec![0.0; m];
-            self.scratch_stamp = vec![0; m];
-            self.scratch_epoch = 0;
-        }
-    }
-
-    /// Resets to the exact factorization of the `m × m` identity (unit
-    /// diagonal, natural pivot order, no `L` ops). The engines start from
-    /// the all-slack/artificial basis, which is the identity, so this lets
-    /// Forrest–Tomlin updates run before any explicit refactorization.
-    fn reset_identity(&mut self, m: usize) {
-        self.reset(m);
-        for p in 0..m {
-            self.row_of_pos[p] = p as u32;
-            self.pos_of_row[p] = p as u32;
-            self.udiag[p] = 1.0;
-        }
-        self.unnz = m;
-    }
-
-    fn push_op(&mut self, kind: LOpKind, pivot: u32, entries: impl Iterator<Item = (u32, f64)>) {
-        self.op_kind.push(kind);
-        self.op_pivot.push(pivot);
-        for (i, v) in entries {
-            if v.abs() > DROP_TOL {
-                self.op_idx.push(i);
-                self.op_val.push(v);
-            }
-        }
-        self.op_start.push(self.op_idx.len());
-    }
-
-    /// Applies the `L` ops in order (dense).
-    fn apply_l(&self, x: &mut [f64]) {
-        for k in 0..self.op_kind.len() {
-            let p = self.op_pivot[k] as usize;
-            let (lo, hi) = (self.op_start[k], self.op_start[k + 1]);
-            match self.op_kind[k] {
-                LOpKind::Col => {
-                    let t = x[p];
-                    if t != 0.0 {
-                        for e in lo..hi {
-                            x[self.op_idx[e] as usize] -= self.op_val[e] * t;
-                        }
-                    }
-                }
-                LOpKind::Row => {
-                    let mut s = 0.0;
-                    for e in lo..hi {
-                        s += self.op_val[e] * x[self.op_idx[e] as usize];
-                    }
-                    x[p] -= s;
-                }
-            }
-        }
-    }
-
-    /// Applies the transposed `L` ops in reverse order (dense).
-    fn apply_l_transpose(&self, x: &mut [f64]) {
-        for k in (0..self.op_kind.len()).rev() {
-            let p = self.op_pivot[k] as usize;
-            let (lo, hi) = (self.op_start[k], self.op_start[k + 1]);
-            match self.op_kind[k] {
-                LOpKind::Col => {
-                    let mut s = x[p];
-                    for e in lo..hi {
-                        s -= self.op_val[e] * x[self.op_idx[e] as usize];
-                    }
-                    x[p] = s;
-                }
-                LOpKind::Row => {
-                    let t = x[p];
-                    if t != 0.0 {
-                        for e in lo..hi {
-                            x[self.op_idx[e] as usize] -= self.op_val[e] * t;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Back-substitution `U x' = x` in place (dense): positions descending,
-    /// scatter-style, so only positions with a nonzero right-hand side cost
-    /// anything beyond the flat scan.
-    fn u_solve(&self, x: &mut [f64]) {
-        for p in (0..self.m).rev() {
-            let r = self.row_of_pos[p] as usize;
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            let t = xr / self.udiag[r];
-            x[r] = t;
-            for &(i, v) in &self.ucol[r] {
-                x[i as usize] -= v * t;
-            }
-        }
-    }
-
-    /// Forward substitution `Uᵀ x' = x` in place (positions ascending,
-    /// gather-style).
-    fn ut_solve(&self, x: &mut [f64]) {
-        for p in 0..self.m {
-            let r = self.row_of_pos[p] as usize;
-            let mut s = x[r];
-            for &(i, v) in &self.ucol[r] {
-                s -= v * x[i as usize];
-            }
-            x[r] = s / self.udiag[r];
-        }
-    }
-
-    fn bump_scratch_epoch(&mut self) -> u32 {
-        self.scratch_epoch = self.scratch_epoch.wrapping_add(1);
-        if self.scratch_epoch == 0 {
-            self.scratch_stamp.iter_mut().for_each(|s| *s = 0);
-            self.scratch_epoch = 1;
-        }
-        self.scratch_epoch
-    }
-}
-
-impl BasisFactorization for LuBasis {
-    /// Right-looking sparse Gaussian elimination with Markowitz-flavoured
-    /// pivot selection: at each step the active column with the fewest
-    /// active nonzeros is eliminated (deterministic tie-breaking through the
-    /// bucket order), pivoting on the threshold-eligible row
-    /// (`|v| ≥ 0.1 · max|column|`) with the fewest active nonzeros. Unit
-    /// slack/artificial columns therefore pivot first with zero fill, and
-    /// the network columns of the multicast LPs triangularize almost
-    /// completely.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
-        let m = a.rows();
-        self.reset(m);
-        if m == 0 {
-            return true;
-        }
-
-        // The active matrix: one working column per basis slot.
-        let mut cols: Vec<Vec<(u32, f64)>> = basis
-            .iter()
-            .map(|&j| {
-                let (rows, vals) = a.col(j);
-                rows.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        let mut col_alive = vec![true; m];
-        let mut row_alive = vec![true; m];
-        let mut col_count: Vec<usize> = cols.iter().map(Vec::len).collect();
-        let mut row_count = vec![0usize; m];
-        let mut rowlist: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for (k, col) in cols.iter().enumerate() {
-            for &(r, _) in col {
-                row_count[r as usize] += 1;
-                rowlist[r as usize].push(k as u32);
-            }
-        }
-        // Count buckets with lazy invalidation for min-count column lookup.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); m + 1];
-        for (k, &c) in col_count.iter().enumerate() {
-            buckets[c].push(k as u32);
-        }
-        let mut cur = 0usize;
-
-        let saved: Vec<usize> = basis.to_vec();
-        for step in 0..m {
-            // Pick the live column with the smallest active count.
-            let pc = loop {
-                if cur > m {
-                    return false;
-                }
-                match buckets[cur].last().copied() {
-                    None => cur += 1,
-                    Some(k) => {
-                        let ku = k as usize;
-                        if !col_alive[ku] || col_count[ku] != cur {
-                            buckets[cur].pop();
-                            continue;
-                        }
-                        break ku;
-                    }
-                }
-            };
-            buckets[cur].pop();
-            col_alive[pc] = false;
-
-            // Threshold partial pivoting inside the column: among rows with
-            // |v| within MARKOWITZ_THRESHOLD of the column max, take the one
-            // with the fewest active nonzeros (ties: smallest row index).
-            let mut colmax = 0.0f64;
-            for &(r, v) in &cols[pc] {
-                if row_alive[r as usize] {
-                    colmax = colmax.max(v.abs());
-                }
-            }
-            if colmax <= SINGULAR_TOL {
-                return false;
-            }
-            let mut pr = usize::MAX;
-            let mut pr_count = usize::MAX;
-            let mut d = 0.0;
-            for &(r, v) in &cols[pc] {
-                let ru = r as usize;
-                if !row_alive[ru] || v.abs() < MARKOWITZ_THRESHOLD * colmax {
-                    continue;
-                }
-                if row_count[ru] < pr_count || (row_count[ru] == pr_count && ru < pr) {
-                    pr = ru;
-                    pr_count = row_count[ru];
-                    d = v;
-                }
-            }
-            debug_assert!(pr != usize::MAX);
-
-            // Emit the L column op (multipliers below the pivot) and the U
-            // column (finalized entries at already-pivoted rows + diagonal).
-            let mut lents: Vec<(u32, f64)> = Vec::new();
-            let mut uents: Vec<(u32, f64)> = Vec::new();
-            for &(r, v) in &cols[pc] {
-                let ru = r as usize;
-                if ru == pr {
-                    continue;
-                }
-                if row_alive[ru] {
-                    if v.abs() > DROP_TOL {
-                        lents.push((r, v / d));
-                    }
-                    row_count[ru] = row_count[ru].saturating_sub(1);
-                } else if v.abs() > DROP_TOL {
-                    uents.push((r, v));
-                }
-            }
-            self.unnz += uents.len() + 1;
-            for &(r, _) in &uents {
-                self.urows[r as usize].push(pr as u32);
-            }
-            self.ucol[pr] = uents;
-            self.udiag[pr] = d;
-            self.row_of_pos[step] = pr as u32;
-            self.pos_of_row[pr] = step as u32;
-            row_alive[pr] = false;
-            basis[pr] = saved[pc];
-            self.push_op(LOpKind::Col, pr as u32, lents.iter().copied());
-
-            // Right-looking update of every live column containing the
-            // pivot row.
-            let affected = std::mem::take(&mut rowlist[pr]);
-            let epoch = self.bump_scratch_epoch();
-            for &ck in &affected {
-                let c = ck as usize;
-                if !col_alive[c] {
-                    continue;
-                }
-                let Some(&(_, v_prc)) = cols[c].iter().find(|&&(r, _)| r as usize == pr) else {
-                    continue; // stale rowlist entry
-                };
-                // Index the column's live entries for O(1) lookup.
-                let epoch_c = epoch.wrapping_add(ck); // distinct per column
-                let epoch_c = if epoch_c == 0 { 1 } else { epoch_c };
-                for (slot, &(r, _)) in cols[c].iter().enumerate() {
-                    self.scratch_stamp[r as usize] = epoch_c;
-                    self.scratch[r as usize] = slot as f64;
-                }
-                let mut fills: Vec<(u32, f64)> = Vec::new();
-                for &(i, l) in &lents {
-                    let iu = i as usize;
-                    let delta = l * v_prc;
-                    if self.scratch_stamp[iu] == epoch_c {
-                        let slot = self.scratch[iu] as usize;
-                        cols[c][slot].1 -= delta;
-                    } else if delta.abs() > DROP_TOL {
-                        fills.push((i, -delta));
-                    }
-                }
-                // The pivot-row entry leaves the active count (it is now a
-                // finalized U entry of column c).
-                col_count[c] = col_count[c].saturating_sub(1) + fills.len();
-                for (i, v) in fills {
-                    cols[c].push((i, v));
-                    row_count[i as usize] += 1;
-                    rowlist[i as usize].push(ck);
-                }
-                buckets[col_count[c]].push(ck);
-                cur = cur.min(col_count[c]);
-            }
-            // `bump_scratch_epoch` above only advanced by one while we used
-            // per-column offsets; resynchronize so later callers start clean.
-            self.scratch_epoch = self.scratch_epoch.wrapping_add(m as u32);
-        }
-        true
-    }
-
-    fn ftran(&self, x: &mut [f64]) {
-        self.apply_l(x);
-        self.u_solve(x);
-    }
-
-    fn btran(&self, x: &mut [f64]) {
-        self.ut_solve(x);
-        self.apply_l_transpose(x);
-    }
-
-    fn ftran_sparse(
-        &mut self,
-        x: &mut [f64],
-        touched: &mut Vec<u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-    ) {
-        // L ops with touched-list maintenance.
-        for k in 0..self.op_kind.len() {
-            let p = self.op_pivot[k] as usize;
-            let (lo, hi) = (self.op_start[k], self.op_start[k + 1]);
-            match self.op_kind[k] {
-                LOpKind::Col => {
-                    let t = x[p];
-                    if t != 0.0 {
-                        for e in lo..hi {
-                            let i = self.op_idx[e];
-                            if stamp[i as usize] != epoch {
-                                stamp[i as usize] = epoch;
-                                touched.push(i);
-                            }
-                            x[i as usize] -= self.op_val[e] * t;
-                        }
-                    }
-                }
-                LOpKind::Row => {
-                    let mut s = 0.0;
-                    for e in lo..hi {
-                        s += self.op_val[e] * x[self.op_idx[e] as usize];
-                    }
-                    if s != 0.0 {
-                        if stamp[p] != epoch {
-                            stamp[p] = epoch;
-                            touched.push(p as u32);
-                        }
-                        x[p] -= s;
-                    }
-                }
-            }
-        }
-        // Stash the Forrest–Tomlin spike (partial solve, before U).
-        self.spike_rows.clear();
-        self.spike_vals.clear();
-        for &i in touched.iter() {
-            let v = x[i as usize];
-            if v != 0.0 {
-                self.spike_rows.push(i);
-                self.spike_vals.push(v);
-            }
-        }
-        // U back-substitution with touched-list maintenance.
-        for p in (0..self.m).rev() {
-            let r = self.row_of_pos[p] as usize;
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            let t = xr / self.udiag[r];
-            x[r] = t;
-            for &(i, v) in &self.ucol[r] {
-                if stamp[i as usize] != epoch {
-                    stamp[i as usize] = epoch;
-                    touched.push(i);
-                }
-                x[i as usize] -= v * t;
-            }
-        }
-    }
-
-    /// The Forrest–Tomlin update. The spike `s = L⁻¹ a_q` stashed by the
-    /// preceding `ftran_sparse` replaces the `U` column of the leaving
-    /// variable (pivot row `rt`); the pivot position cycles to the end of
-    /// the pivot order, and the no-longer-triangular remnants of row `rt`
-    /// are eliminated by one sparse row transform appended to the `L` ops
-    /// (`f` solves `fᵀ·U_JJ = (row rt of U)ᵀ` over the trailing positions).
-    /// Per-update cost is therefore proportional to `U` fill, not to the
-    /// number of updates performed since the last refactorization.
-    fn update(&mut self, row: usize, _w: &[f64], _touched: &[u32]) -> bool {
-        let rt = row;
-        let t = self.pos_of_row[rt] as usize;
-        let m = self.m;
-
-        // 1. Extract (and delete) row rt of U at positions > t, keyed by
-        //    column pivot row. All entries of row rt live in columns with a
-        //    later pivot position by the triangularity invariant.
-        let mut row_cols: Vec<u32> = Vec::new();
-        let mut row_vals: Vec<f64> = Vec::new();
-        let cand = std::mem::take(&mut self.urows[rt]);
-        for &c in &cand {
-            let cu = c as usize;
-            let col = &mut self.ucol[cu];
-            if let Some(slot) = col.iter().position(|&(r, _)| r as usize == rt) {
-                let (_, v) = col.swap_remove(slot);
-                self.unnz -= 1;
-                if v != 0.0 {
-                    row_cols.push(c);
-                    row_vals.push(v);
-                }
-            }
-        }
-
-        // 2. Solve fᵀ U_JJ = rᵀ over trailing positions (ascending), f keyed
-        //    by pivot row in the scratch vector.
-        let epoch = self.bump_scratch_epoch();
-        let mut f_rows: Vec<u32> = Vec::new();
-        let mut remaining = row_cols.len();
-        for (c, v) in row_cols.iter().zip(&row_vals) {
-            self.scratch_stamp[*c as usize] = epoch;
-            self.scratch[*c as usize] = *v;
-        }
-        if remaining > 0 {
-            for p in (t + 1)..m {
-                let c = self.row_of_pos[p] as usize;
-                let mut acc = if self.scratch_stamp[c] == epoch {
-                    remaining -= 1;
-                    self.scratch[c]
-                } else {
-                    0.0
-                };
-                if !f_rows.is_empty() {
-                    for &(i, v) in &self.ucol[c] {
-                        if self.scratch_stamp[i as usize] == epoch + 1 {
-                            acc -= v * self.scratch[i as usize];
-                        }
-                    }
-                }
-                if acc != 0.0 {
-                    let fv = acc / self.udiag[c];
-                    if fv.abs() > DROP_TOL {
-                        // f entries carry epoch + 1 to stay distinct from the
-                        // row-value markers.
-                        self.scratch_stamp[c] = epoch + 1;
-                        self.scratch[c] = fv;
-                        f_rows.push(c as u32);
-                    } else {
-                        self.scratch_stamp[c] = 0;
-                    }
-                } else if self.scratch_stamp[c] == epoch {
-                    self.scratch_stamp[c] = 0;
-                }
-                if remaining == 0 && f_rows.is_empty() {
-                    break;
-                }
-            }
-        }
-        // Reserve the `epoch + 1` marker we used for f entries.
-        self.scratch_epoch = self.scratch_epoch.wrapping_add(1);
-        if self.scratch_epoch == 0 {
-            self.scratch_stamp.iter_mut().for_each(|s| *s = 0);
-            self.scratch_epoch = 1;
-        }
-
-        // 3. New diagonal of the spike column: the row transform applied to
-        //    the spike's rt entry.
-        let mut d_new = 0.0;
-        let spike_at = |r: usize| -> f64 {
-            for (i, &sr) in self.spike_rows.iter().enumerate() {
-                if sr as usize == r {
-                    return self.spike_vals[i];
-                }
-            }
-            0.0
-        };
-        d_new += spike_at(rt);
-        for &fr in &f_rows {
-            let fv = self.scratch[fr as usize];
-            d_new -= fv * spike_at(fr as usize);
-        }
-        // A vanishing transformed diagonal means the updated factorization
-        // would be numerically worthless: force a refactorization instead.
-        let mut spike_scale = d_new.abs();
-        for v in &self.spike_vals {
-            spike_scale = spike_scale.max(v.abs());
-        }
-        if d_new.abs() <= SINGULAR_TOL || d_new.abs() < 1e-9 * spike_scale {
-            return false;
-        }
-
-        // 4. Append the row transform to the L ops.
-        if !f_rows.is_empty() {
-            let scratch = &self.scratch;
-            let entries: Vec<(u32, f64)> =
-                f_rows.iter().map(|&r| (r, scratch[r as usize])).collect();
-            self.push_op(LOpKind::Row, rt as u32, entries.into_iter());
-        }
-
-        // 5. Install the spike as the (new last) column keyed by rt.
-        self.unnz -= self.ucol[rt].len() + 1;
-        let mut newcol: Vec<(u32, f64)> = Vec::with_capacity(self.spike_rows.len());
-        for (i, &sr) in self.spike_rows.iter().enumerate() {
-            let v = self.spike_vals[i];
-            if sr as usize != rt && v.abs() > DROP_TOL {
-                newcol.push((sr, v));
-                self.urows[sr as usize].push(rt as u32);
-            }
-        }
-        self.unnz += newcol.len() + 1;
-        self.ucol[rt] = newcol;
-        self.udiag[rt] = d_new;
-
-        // 6. Cycle position t to the end.
-        for p in t..m - 1 {
-            let r = self.row_of_pos[p + 1];
-            self.row_of_pos[p] = r;
-            self.pos_of_row[r as usize] = p as u32;
-        }
-        self.row_of_pos[m - 1] = rt as u32;
-        self.pos_of_row[rt] = (m - 1) as u32;
-
-        self.updates += 1;
-        true
-    }
-
-    fn updates_since_refactor(&self) -> usize {
-        self.updates
-    }
-
-    fn wants_refactor(&self, a: &CscMatrix) -> bool {
-        let budget = 4 * a.nnz() + 16 * a.rows();
-        self.unnz + self.op_idx.len() > budget
-    }
-}
-
-/// Either basis factorization behind one enum, so the engine avoids dynamic
-/// dispatch on the per-iteration hot path.
-#[derive(Debug)]
-pub(crate) enum BasisRepr {
-    /// Product-form eta file (`PM_LP_BASIS=eta`).
-    Eta(EtaBasis),
-    /// Sparse LU with Forrest–Tomlin updates (the default).
-    Lu(LuBasis),
-}
-
-impl BasisRepr {
-    /// A factorization of the `m × m` identity — the engines' all-slack
-    /// start basis — ready for pivot updates without a prior refactorize.
-    pub(crate) fn new(kind: crate::solver::BasisKind, m: usize) -> Self {
-        match kind {
-            crate::solver::BasisKind::Eta => BasisRepr::Eta(EtaBasis::new()),
-            crate::solver::BasisKind::Lu => {
-                let mut lu = LuBasis::new();
-                lu.reset_identity(m);
-                BasisRepr::Lu(lu)
-            }
-        }
-    }
-
-    pub(crate) fn kind(&self) -> crate::solver::BasisKind {
-        match self {
-            BasisRepr::Eta(_) => crate::solver::BasisKind::Eta,
-            BasisRepr::Lu(_) => crate::solver::BasisKind::Lu,
-        }
-    }
-}
-
-impl BasisFactorization for BasisRepr {
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
-        match self {
-            BasisRepr::Eta(b) => b.refactorize(a, basis),
-            BasisRepr::Lu(b) => b.refactorize(a, basis),
-        }
-    }
-
-    fn ftran(&self, x: &mut [f64]) {
-        match self {
-            BasisRepr::Eta(b) => b.ftran(x),
-            BasisRepr::Lu(b) => b.ftran(x),
-        }
-    }
-
-    fn btran(&self, x: &mut [f64]) {
-        match self {
-            BasisRepr::Eta(b) => b.btran(x),
-            BasisRepr::Lu(b) => b.btran(x),
-        }
-    }
-
-    fn ftran_sparse(
-        &mut self,
-        x: &mut [f64],
-        touched: &mut Vec<u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-    ) {
-        match self {
-            BasisRepr::Eta(b) => b.ftran_sparse(x, touched, stamp, epoch),
-            BasisRepr::Lu(b) => b.ftran_sparse(x, touched, stamp, epoch),
-        }
-    }
-
-    fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) -> bool {
-        match self {
-            BasisRepr::Eta(b) => b.update(row, w, touched),
-            BasisRepr::Lu(b) => b.update(row, w, touched),
-        }
-    }
-
-    fn updates_since_refactor(&self) -> usize {
-        match self {
-            BasisRepr::Eta(b) => b.updates_since_refactor(),
-            BasisRepr::Lu(b) => b.updates_since_refactor(),
-        }
-    }
-
-    fn wants_refactor(&self, a: &CscMatrix) -> bool {
-        match self {
-            BasisRepr::Eta(b) => b.wants_refactor(a),
-            BasisRepr::Lu(b) => b.wants_refactor(a),
-        }
     }
 }
 
@@ -1081,114 +363,102 @@ mod tests {
         }
     }
 
-    fn factor_kinds() -> Vec<BasisRepr> {
-        vec![
-            BasisRepr::Eta(EtaBasis::new()),
-            BasisRepr::Lu(LuBasis::new()),
-        ]
+    /// Checks `Bᵀ y = c`, i.e. for every slot: `column_slot · y = c_slot`.
+    fn check_btran(a: &CscMatrix, basis: &[usize], y: &[f64], c: &[f64]) {
+        let b = dense_of_basis(a, basis);
+        for slot in 0..basis.len() {
+            let mut acc = 0.0;
+            for (r, row) in b.iter().enumerate() {
+                acc += row[slot] * y[r];
+            }
+            assert!((acc - c[slot]).abs() < 1e-8, "Bᵀ y != c at slot {slot}");
+        }
+    }
+
+    /// FTRAN of column `j` of `a` the way the engine's pivot loop does it.
+    fn ftran_column(
+        fac: &EtaBasis,
+        a: &CscMatrix,
+        j: usize,
+        stamp: &mut [u32],
+        epoch: u32,
+    ) -> (Vec<f64>, Vec<u32>) {
+        let mut work = vec![0.0; a.rows()];
+        let mut touched: Vec<u32> = Vec::new();
+        let (rows, vals) = a.col(j);
+        for (&r, &v) in rows.iter().zip(vals) {
+            stamp[r as usize] = epoch;
+            touched.push(r);
+            work[r as usize] = v;
+        }
+        fac.ftran_sparse(&mut work, &mut touched, stamp, epoch);
+        (work, touched)
     }
 
     #[test]
     fn refactorize_then_ftran_solves_the_basis_system() {
-        let (a, basis0) = sample();
-        for mut fac in factor_kinds() {
-            let mut basis = basis0.clone();
-            assert!(fac.refactorize(&a, &mut basis));
-            // Both impls permute so slot r pivots on row r: solving against
-            // the permuted basis must reproduce the RHS.
-            let rhs = [1.0, 2.0, -1.0, 0.5];
-            let mut x = rhs.to_vec();
-            fac.ftran(&mut x);
-            check_ftran(&a, &basis, &x, &rhs);
-        }
+        let (a, mut basis) = sample();
+        let mut fac = EtaBasis::new();
+        assert!(fac.refactorize(&a, &mut basis));
+        // Refactorization permutes so slot r pivots on row r: solving
+        // against the permuted basis must reproduce the RHS.
+        let rhs = [1.0, 2.0, -1.0, 0.5];
+        let mut x = rhs.to_vec();
+        fac.ftran(&mut x);
+        check_ftran(&a, &basis, &x, &rhs);
     }
 
     #[test]
     fn btran_matches_transpose_solve() {
-        let (a, basis0) = sample();
-        for mut fac in factor_kinds() {
-            let mut basis = basis0.clone();
-            assert!(fac.refactorize(&a, &mut basis));
-            let c = [1.0, -2.0, 0.0, 3.0];
-            let mut y = c.to_vec();
-            fac.btran(&mut y);
-            // Check Bᵀ y = c, i.e. for every slot: column_slot · y = c_slot.
-            let b = dense_of_basis(&a, &basis);
-            for slot in 0..basis.len() {
-                let mut acc = 0.0;
-                for (r, row) in b.iter().enumerate() {
-                    acc += row[slot] * y[r];
-                }
-                assert!((acc - c[slot]).abs() < 1e-8, "Bᵀ y != c at slot {slot}");
-            }
-        }
+        let (a, mut basis) = sample();
+        let mut fac = EtaBasis::new();
+        assert!(fac.refactorize(&a, &mut basis));
+        let c = [1.0, -2.0, 0.0, 3.0];
+        let mut y = c.to_vec();
+        fac.btran(&mut y);
+        check_btran(&a, &basis, &y, &c);
     }
 
     #[test]
     fn updates_track_the_exchanged_column() {
-        let (a, basis0) = sample();
-        for mut fac in factor_kinds() {
-            let mut basis = basis0.clone();
-            assert!(fac.refactorize(&a, &mut basis));
-            // Bring column 2 (a slack) into whichever slot its FTRAN pivots
-            // best on; emulate the engine's pivot loop.
-            let m = a.rows();
-            let mut work = vec![0.0; m];
-            let mut touched: Vec<u32> = Vec::new();
-            let mut stamp = vec![0u32; m];
-            let entering = 2usize;
-            let (rows, vals) = a.col(entering);
-            for (&r, &v) in rows.iter().zip(vals) {
-                stamp[r as usize] = 1;
-                touched.push(r);
-                work[r as usize] = v;
-            }
-            fac.ftran_sparse(&mut work, &mut touched, &mut stamp, 1);
-            // Pick any row with a sizable pivot that holds a structural
-            // column we can evict.
-            let row = (0..m)
-                .filter(|&r| work[r].abs() > 1e-9)
-                .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
-                .unwrap();
-            assert!(fac.update(row, &work, &touched));
-            basis[row] = entering;
-            assert_eq!(fac.updates_since_refactor(), 1);
-            // The updated factorization must solve against the new basis.
-            let rhs = [0.5, 1.5, -2.0, 1.0];
-            let mut x = rhs.to_vec();
-            fac.ftran(&mut x);
-            check_ftran(&a, &basis, &x, &rhs);
-            // And BTRAN stays consistent too.
-            let c = [2.0, 0.0, 1.0, -1.0];
-            let mut y = c.to_vec();
-            fac.btran(&mut y);
-            let b = dense_of_basis(&a, &basis);
-            for slot in 0..basis.len() {
-                let mut acc = 0.0;
-                for (r, rowv) in b.iter().enumerate() {
-                    acc += rowv[slot] * y[r];
-                }
-                assert!((acc - c[slot]).abs() < 1e-8);
-            }
-        }
+        let (a, mut basis) = sample();
+        let mut fac = EtaBasis::new();
+        assert!(fac.refactorize(&a, &mut basis));
+        // Bring column 2 (a slack) into whichever slot its FTRAN pivots
+        // best on; emulate the engine's pivot loop.
+        let m = a.rows();
+        let mut stamp = vec![0u32; m];
+        let entering = 2usize;
+        let (work, touched) = ftran_column(&fac, &a, entering, &mut stamp, 1);
+        let row = (0..m)
+            .filter(|&r| work[r].abs() > 1e-9)
+            .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
+            .unwrap();
+        fac.update(row, &work, &touched);
+        basis[row] = entering;
+        assert_eq!(fac.updates_since_refactor(), 1);
+        // The updated factorization must solve against the new basis.
+        let rhs = [0.5, 1.5, -2.0, 1.0];
+        let mut x = rhs.to_vec();
+        fac.ftran(&mut x);
+        check_ftran(&a, &basis, &x, &rhs);
+        // And BTRAN stays consistent too.
+        let c = [2.0, 0.0, 1.0, -1.0];
+        let mut y = c.to_vec();
+        fac.btran(&mut y);
+        check_btran(&a, &basis, &y, &c);
     }
 
-    #[test]
-    fn chained_updates_stay_accurate() {
-        // Random-ish chain of column exchanges on a larger matrix: both
-        // factorizations must keep solving exactly, with the LU update cost
-        // staying bounded (covered implicitly by the unnz tracking).
-        let m = 12;
-        let mut triplets = Vec::new();
-        let mut seed = 0x5eed_1234u64;
+    /// An `m`-row matrix of `n_struct` pseudo-random structural columns
+    /// with 3 entries each, followed by the `m` unit columns.
+    fn random_matrix(m: usize, n_struct: usize, mut seed: u64) -> CscMatrix {
         let mut next = move || {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed
         };
-        // Structural columns with 3 entries each + unit columns.
-        let n_struct = 10;
+        let mut triplets = Vec::new();
         for j in 0..n_struct {
             for k in 0..3 {
                 let r = ((next() as usize) + k) % m;
@@ -1199,52 +469,122 @@ mod tests {
         for r in 0..m {
             triplets.push((r, n_struct + r, 1.0));
         }
-        let a = CscMatrix::from_triplets(m, n_struct + m, &triplets);
-        for mut fac in factor_kinds() {
-            let mut basis: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
-            assert!(fac.refactorize(&a, &mut basis));
-            let mut stamp = vec![0u32; m];
-            let mut epoch = 0u32;
-            for entering in 0..n_struct {
-                if basis.contains(&entering) {
-                    continue;
+        CscMatrix::from_triplets(m, n_struct + m, &triplets)
+    }
+
+    /// The refactorization visits only the etas pivoting on touched rows;
+    /// it must build exactly the eta file that FTRANing every column
+    /// through the whole file builds, bit for bit.
+    #[test]
+    fn refactorization_matches_a_full_file_scan() {
+        let (m, n_struct) = (12, 10);
+        let mut rebuilt = 0;
+        for seed in 1..200u64 {
+            let a = random_matrix(m, n_struct, seed * 0x9e37_79b9);
+            // Every structural column replaces the unit column of its first
+            // row still held by one (a structurally nonsingular basis).
+            let mut basis0: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
+            for j in 0..n_struct {
+                let (rows, _) = a.col(j);
+                if let Some(&r) = rows.iter().find(|&&r| basis0[r as usize] >= n_struct) {
+                    basis0[r as usize] = j;
                 }
+            }
+            let mut basis = basis0.clone();
+            let mut fac = EtaBasis::new();
+            let ok = fac.refactorize(&a, &mut basis);
+
+            let mut order: Vec<usize> = (0..m).collect();
+            order.sort_by_key(|&r| a.col_nnz(basis0[r]));
+            let mut etas = EtaFile::default();
+            etas.clear();
+            let mut pivoted = vec![false; m];
+            let mut stamp = vec![0u32; m];
+            let mut reference_ok = true;
+            for (step, &pos) in order.iter().enumerate() {
+                let epoch = step as u32 + 1;
                 let mut work = vec![0.0; m];
-                let mut touched: Vec<u32> = Vec::new();
-                epoch += 1;
-                let (rows, vals) = a.col(entering);
+                let mut touched = Vec::new();
+                let (rows, vals) = a.col(basis0[pos]);
                 for (&r, &v) in rows.iter().zip(vals) {
                     stamp[r as usize] = epoch;
                     touched.push(r);
                     work[r as usize] = v;
                 }
-                fac.ftran_sparse(&mut work, &mut touched, &mut stamp, epoch);
-                let Some(row) = (0..m)
-                    .filter(|&r| work[r].abs() > 1e-6 && basis[r] >= n_struct)
-                    .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
-                else {
-                    continue;
-                };
-                if !fac.update(row, &work, &touched) {
-                    assert!(fac.refactorize(&a, &mut basis));
-                    continue;
+                etas.ftran_sparse(&mut work, &mut touched, &mut stamp, epoch);
+                let best = touched
+                    .iter()
+                    .map(|&i| i as usize)
+                    .filter(|&r| !pivoted[r])
+                    .fold(None, |best: Option<usize>, r| match best {
+                        Some(b) if work[b].abs() >= work[r].abs() => Some(b),
+                        _ => Some(r),
+                    });
+                match best {
+                    Some(r) if work[r].abs() > SINGULAR_TOL => {
+                        etas.push_sparse(r, &work, &touched);
+                        pivoted[r] = true;
+                    }
+                    _ => {
+                        reference_ok = false;
+                        break;
+                    }
                 }
-                basis[row] = entering;
-                // Verify the solve after every exchange.
-                let rhs: Vec<f64> = (0..m).map(|r| (r as f64) - 3.0).collect();
-                let mut x = rhs.clone();
-                fac.ftran(&mut x);
-                check_ftran(&a, &basis, &x, &rhs);
             }
+            assert_eq!(ok, reference_ok, "seed {seed}: singularity verdicts differ");
+            if !ok {
+                continue;
+            }
+            rebuilt += 1;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(fac.etas.pivot_row, etas.pivot_row, "seed {seed}");
+            assert_eq!(
+                bits(&fac.etas.pivot_val),
+                bits(&etas.pivot_val),
+                "seed {seed}"
+            );
+            assert_eq!(fac.etas.starts, etas.starts, "seed {seed}");
+            assert_eq!(fac.etas.idx, etas.idx, "seed {seed}");
+            assert_eq!(bits(&fac.etas.val), bits(&etas.val), "seed {seed}");
+        }
+        assert!(rebuilt >= 150, "only {rebuilt} nonsingular bases drawn");
+    }
+
+    #[test]
+    fn chained_updates_stay_accurate() {
+        // Random-ish chain of column exchanges on a larger matrix: the eta
+        // file must keep solving exactly after every appended update.
+        let (m, n_struct) = (12, 10);
+        let a = random_matrix(m, n_struct, 0x5eed_1234);
+        let mut fac = EtaBasis::new();
+        let mut basis: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
+        assert!(fac.refactorize(&a, &mut basis));
+        let mut stamp = vec![0u32; m];
+        for entering in 0..n_struct {
+            if basis.contains(&entering) {
+                continue;
+            }
+            let (work, touched) = ftran_column(&fac, &a, entering, &mut stamp, entering as u32 + 1);
+            let Some(row) = (0..m)
+                .filter(|&r| work[r].abs() > 1e-6 && basis[r] >= n_struct)
+                .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
+            else {
+                continue;
+            };
+            fac.update(row, &work, &touched);
+            basis[row] = entering;
+            // Verify the solve after every exchange.
+            let rhs: Vec<f64> = (0..m).map(|r| (r as f64) - 3.0).collect();
+            let mut x = rhs.clone();
+            fac.ftran(&mut x);
+            check_ftran(&a, &basis, &x, &rhs);
         }
     }
 
     #[test]
     fn singular_basis_is_rejected() {
         let a = CscMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 1, 2.0), (0, 2, 1.0)]);
-        for mut fac in factor_kinds() {
-            let mut basis = vec![0, 1];
-            assert!(!fac.refactorize(&a, &mut basis));
-        }
+        let mut basis = vec![0, 1];
+        assert!(!EtaBasis::new().refactorize(&a, &mut basis));
     }
 }

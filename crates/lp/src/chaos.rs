@@ -226,8 +226,7 @@ pub(crate) fn plan(signature: impl FnOnce() -> u64) -> Option<ChaosPlan> {
 /// are deterministic regardless of thread interleaving).
 static C_SOLVES: AtomicU64 = AtomicU64::new(0);
 static C_INJECTED: AtomicU64 = AtomicU64::new(0);
-static C_BY_RUNG: [AtomicU64; 6] = [
-    AtomicU64::new(0),
+static C_BY_RUNG: [AtomicU64; 5] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -244,9 +243,9 @@ pub struct ChaosCounters {
     pub solves: u64,
     /// Solves that had at least one fault injected.
     pub injected: u64,
-    /// Successful solves by winning recovery rung (0 = first attempt, 5 =
+    /// Successful solves by winning recovery rung (0 = first attempt, 4 =
     /// the dense-tableau oracle).
-    pub recovered_by_rung: [u64; 6],
+    pub recovered_by_rung: [u64; 5],
     /// Solves that returned a budget-degraded anytime solution.
     pub degraded: u64,
     /// Solves that exhausted the whole ladder and still reported
@@ -259,14 +258,7 @@ pub fn counters() -> ChaosCounters {
     ChaosCounters {
         solves: C_SOLVES.load(Ordering::Relaxed),
         injected: C_INJECTED.load(Ordering::Relaxed),
-        recovered_by_rung: [
-            C_BY_RUNG[0].load(Ordering::Relaxed),
-            C_BY_RUNG[1].load(Ordering::Relaxed),
-            C_BY_RUNG[2].load(Ordering::Relaxed),
-            C_BY_RUNG[3].load(Ordering::Relaxed),
-            C_BY_RUNG[4].load(Ordering::Relaxed),
-            C_BY_RUNG[5].load(Ordering::Relaxed),
-        ],
+        recovered_by_rung: std::array::from_fn(|i| C_BY_RUNG[i].load(Ordering::Relaxed)),
         degraded: C_DEGRADED.load(Ordering::Relaxed),
         unrecovered: C_UNRECOVERED.load(Ordering::Relaxed),
     }
@@ -295,7 +287,7 @@ pub(crate) fn record_outcome(
         C_INJECTED.fetch_add(1, Ordering::Relaxed);
     }
     if let Some(r) = rung {
-        C_BY_RUNG[r.min(5)].fetch_add(1, Ordering::Relaxed);
+        C_BY_RUNG[r.min(C_BY_RUNG.len() - 1)].fetch_add(1, Ordering::Relaxed);
     }
     if degraded {
         C_DEGRADED.fetch_add(1, Ordering::Relaxed);

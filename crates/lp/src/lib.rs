@@ -11,19 +11,17 @@
 //! * [`sparse`] — CSC matrices and the triplet-based
 //!   [`SparseBuilder`] used by the formulations,
 //! * [`revised`] — the default engine: a sparse revised simplex with
-//!   pluggable basis factorizations, periodic refactorization and
-//!   [warm starts](revised::WarmStartCache),
-//! * [`basis`] — the [`BasisFactorization`]
-//!   engines behind the revised simplex: sparse LU with Forrest–Tomlin
-//!   updates (default) and the product-form eta file (`PM_LP_BASIS=eta`),
+//!   Dantzig pricing (Bland's rule after a stall), periodic
+//!   refactorization and [warm starts](revised::WarmStartCache),
+//! * [`basis`] — the [`EtaBasis`] factorization behind the revised
+//!   simplex: a product-form eta file, one eta appended per pivot,
 //! * [`presolve`] — optional problem reductions (empty/singleton rows,
 //!   fixed and implied-free columns) with full primal/dual postsolve
 //!   recovery (`PM_LP_PRESOLVE=1`),
 //! * [`simplex`] — the dense two-phase tableau simplex, kept as the
 //!   `PM_LP_SOLVER=dense` fallback and as the differential-testing oracle,
 //! * [`solver`] — engine selection (`PM_LP_SOLVER`,
-//!   [`set_default_solver`]; `PM_LP_BASIS`,
-//!   [`set_default_basis`]) and deterministic work caps
+//!   [`set_default_solver`]) and deterministic work caps
 //!   ([`SolveBudget`], `PM_LP_BUDGET`),
 //! * [`chaos`] — seeded fault injection (`PM_LP_CHAOS`) driving the
 //!   recovery ladder (see [`revised::RecoveryRung`]) for self-healing
@@ -62,7 +60,7 @@ pub mod simplex;
 pub mod solver;
 pub mod sparse;
 
-pub use basis::{BasisFactorization, EtaBasis, LuBasis};
+pub use basis::EtaBasis;
 pub use chaos::{
     counters as chaos_counters, reset_counters as reset_chaos_counters, set_chaos, with_chaos,
     ChaosConfig, ChaosCounters, ChaosFault,
@@ -75,7 +73,6 @@ pub use revised::{
     WarmStatus,
 };
 pub use solver::{
-    default_basis, default_budget, default_solver, set_default_basis, set_default_solver,
-    stats_enabled, BasisKind, SolveBudget, SolverKind,
+    default_budget, default_solver, set_default_solver, stats_enabled, SolveBudget, SolverKind,
 };
 pub use sparse::{CscMatrix, SparseBuilder};

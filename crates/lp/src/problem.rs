@@ -441,7 +441,7 @@ impl LpProblem {
     /// The primary objective value is untouched (every such pivot moves
     /// along the optimal face), but the reported *point* becomes canonical:
     /// whenever the secondary optimum is unique, cold solves, warm-started
-    /// re-solves and both basis factorizations all land on the same vertex.
+    /// re-solves and both engines all land on the same vertex.
     ///
     /// The flow formulations in `pm-core` use this to report
     /// traffic-parsimonious flows (secondary = cost-weighted total traffic),

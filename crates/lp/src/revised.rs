@@ -1,22 +1,14 @@
-//! Sparse revised simplex with pluggable basis factorizations and warm
-//! starts.
+//! Sparse revised simplex with a product-form basis and warm starts.
 //!
-//! The engine never forms `B⁻¹` explicitly: all products go through a
-//! [`crate::basis::BasisFactorization`]. The default is a sparse LU
-//! factorization with Forrest–Tomlin pivot updates
-//! ([`crate::basis::LuBasis`]); the historical product-form eta file
-//! ([`crate::basis::EtaBasis`]) stays selectable with `PM_LP_BASIS=eta` as
-//! a differential oracle. See [`crate::solver::BasisKind`].
+//! The engine never forms `B⁻¹` explicitly: all products go through the
+//! eta file of [`crate::basis::EtaBasis`], one eta appended per pivot and
+//! rebuilt on a fixed refactorization schedule.
 //!
 //! Each iteration works on sparse columns only:
 //!
 //! * BTRAN of the basic costs gives the pricing vector `y`,
-//! * entering-column selection depends on the basis engine: the LU path
-//!   prices with devex reference-framework weights over incrementally
-//!   maintained reduced costs (recomputed from scratch whenever the
-//!   factorization changes, and re-verified before declaring optimality);
-//!   the eta path keeps the legacy Dantzig rule over rotating
-//!   partial-pricing sections. Both switch to Bland's rule after a stall,
+//! * Dantzig's rule over rotating partial-pricing sections picks the
+//!   entering column (Bland's rule after a stall),
 //! * FTRAN of the entering column feeds the ratio test.
 //!
 //! The anti-degeneracy toolkit of the dense engine is ported verbatim: the
@@ -32,12 +24,12 @@
 //! [`WarmStartCache::scope`], every [`crate::LpProblem::solve`] call looks
 //! up the basis of the last solve with the same constraint pattern.
 
-use crate::basis::{BasisFactorization, BasisRepr};
+use crate::basis::EtaBasis;
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 use crate::solver::{
     effective_relation, perturb_rhs, phase1_budget, phase2_budget, splitmix64, stats_enabled,
-    BasisKind, SolveBudget,
+    SolveBudget,
 };
 use crate::sparse::CscMatrix;
 use std::cell::RefCell;
@@ -61,8 +53,8 @@ const STALL_SWITCH: usize = 64;
 const REFACTOR_EVERY: usize = 128;
 
 /// Solution-vector increments smaller than this are skipped in pivot
-/// updates (same drop tolerance the basis factorizations use for their
-/// stored vectors).
+/// updates (same drop tolerance the eta file uses for its stored
+/// vectors).
 const ETA_DROP: f64 = 1e-12;
 
 /// An optimal basis, reusable as a warm-start hint for a structurally
@@ -168,9 +160,6 @@ pub enum RecoveryRung {
     /// Cold restart under aggressive refactorization (every
     /// [`AGGRESSIVE_REFACTOR_EVERY`] pivots), to shed numerical drift.
     AggressiveRefactor,
-    /// Cold restart on the *other* basis backend (LU↔eta, relative to the
-    /// session default).
-    SwappedBasis,
     /// Cold restart under Bland's rule from the first pivot (slow but
     /// cycling-proof).
     Bland,
@@ -180,15 +169,14 @@ pub enum RecoveryRung {
 }
 
 impl RecoveryRung {
-    /// The rung's position on the ladder (0 = first attempt, 5 = dense).
+    /// The rung's position on the ladder (0 = first attempt, 4 = dense).
     pub fn index(self) -> usize {
         match self {
             RecoveryRung::First => 0,
             RecoveryRung::Cold => 1,
             RecoveryRung::AggressiveRefactor => 2,
-            RecoveryRung::SwappedBasis => 3,
-            RecoveryRung::Bland => 4,
-            RecoveryRung::Dense => 5,
+            RecoveryRung::Bland => 3,
+            RecoveryRung::Dense => 4,
         }
     }
 }
@@ -213,9 +201,6 @@ pub struct SolveStats {
     pub phase2_pivots: usize,
     /// Basis refactorizations performed.
     pub refactorizations: usize,
-    /// Which basis factorization ran the solve (see
-    /// [`crate::solver::BasisKind`]).
-    pub basis: BasisKind,
     /// Warm-start outcome.
     pub warm: WarmStatus,
     /// Wall-clock seconds spent in the solve.
@@ -244,88 +229,10 @@ pub struct SolveOutcome {
     pub stats: SolveStats,
 }
 
-/// Devex reference-framework pricing state (the LU path's entering rule).
-///
-/// Reduced costs are maintained incrementally across pivots — the exact
-/// algebraic update `rc_j −= α_rj · rc_q / α_rq` over the pivot row `α` —
-/// and recomputed from scratch (BTRAN of the basic costs + one pass over
-/// the matrix) whenever the factorization changes or optimality is about to
-/// be declared, so drift can never certify a wrong optimum. Weights follow
-/// the classical devex reference-framework recurrence with the framework
-/// reset whenever a weight overflows its trust range.
-#[derive(Debug)]
-struct DevexPricing {
-    /// CSR mirror of the constraint matrix (row pointers, column indices,
-    /// values) for gathering the pivot row `α = ρᵀA` sparsely.
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    vals: Vec<f64>,
-    /// Maintained reduced costs, one per column.
-    rc: Vec<f64>,
-    /// Devex reference weights, one per column.
-    weights: Vec<f64>,
-    /// Whether `rc` reflects the current basis (false forces a recompute).
-    valid: bool,
-    /// Whether any pivot was applied since the last full recompute (a dirty
-    /// `rc` may have drifted and must be re-verified before concluding
-    /// optimality or unboundedness).
-    dirty: bool,
-    /// Scratch: the pivot row `α` scattered by column, with its pattern in
-    /// `acols` (deduplicated through `astamp`/`aepoch`).
-    alpha: Vec<f64>,
-    acols: Vec<u32>,
-    astamp: Vec<u32>,
-    aepoch: u32,
-    /// Scratch: `ρ = B⁻ᵀ e_r` for the pivot row.
-    rho: Vec<f64>,
-}
-
-impl DevexPricing {
-    fn new(a: &CscMatrix, m: usize, n_total: usize) -> Self {
-        let (row_ptr, col_idx, vals) = a.to_csr();
-        DevexPricing {
-            row_ptr,
-            col_idx,
-            vals,
-            rc: vec![0.0; n_total],
-            weights: vec![1.0; n_total],
-            valid: false,
-            dirty: false,
-            alpha: vec![0.0; n_total],
-            acols: Vec::new(),
-            astamp: vec![0; n_total],
-            aepoch: 0,
-            rho: vec![0.0; m],
-        }
-    }
-
-    /// The pivot-row entry for column `j` from the last
-    /// [`Engine::compute_pivot_row`], respecting the scatter stamps.
-    #[inline]
-    fn alpha_at(&self, j: usize) -> f64 {
-        if self.astamp[j] == self.aepoch {
-            self.alpha[j]
-        } else {
-            0.0
-        }
-    }
-
-    /// Resets to an all-ones reference framework with invalid reduced costs
-    /// (done at phase boundaries: the cost vector changed wholesale).
-    fn reset_phase(&mut self) {
-        self.valid = false;
-        self.dirty = false;
-        self.weights.iter_mut().for_each(|w| *w = 1.0);
-    }
-}
-
 /// Per-attempt engine configuration — the knobs the recovery ladder turns
 /// between rungs. The default is byte-identical to the pre-ladder engine.
 #[derive(Debug, Clone, Copy)]
 struct EngineCfg {
-    /// Basis backend (`None` = the session default, see
-    /// [`crate::solver::default_basis`]).
-    basis: Option<BasisKind>,
     /// Pivots between scheduled refactorizations.
     refactor_every: usize,
     /// Use Bland's rule from the first pivot.
@@ -340,7 +247,6 @@ struct EngineCfg {
 impl EngineCfg {
     fn new(budget: Option<SolveBudget>) -> Self {
         EngineCfg {
-            basis: None,
             refactor_every: REFACTOR_EVERY,
             force_bland: false,
             budget,
@@ -381,11 +287,8 @@ struct Engine {
     /// outside it): only columns whose primary reduced cost was zero at the
     /// phase-2 optimum may enter, so pivots move along the optimal face.
     restrict: Vec<bool>,
-    /// The basis factorization (LU by default, eta via `PM_LP_BASIS=eta`).
-    fac: BasisRepr,
-    /// Devex pricing state — present exactly on the LU path; `None` keeps
-    /// the eta path on the legacy Dantzig partial pricing, byte-for-byte.
-    pricing: Option<DevexPricing>,
+    /// The basis factorization.
+    fac: EtaBasis,
     /// `B⁻¹ b` (perturbed), indexed by row.
     x_b: Vec<f64>,
     /// `B⁻¹ b_shadow` (exact), same pivots.
@@ -532,16 +435,10 @@ impl Engine {
             }
         }
         let any_fixed = fixed.iter().any(|&f| f);
-        let kind = cfg.basis.unwrap_or_else(crate::solver::default_basis);
-        let pricing = match kind {
-            BasisKind::Lu => Some(DevexPricing::new(&a, m, n_total)),
-            BasisKind::Eta => None,
-        };
         Engine {
             x_b: b.clone(),
             x_shadow: b_shadow.clone(),
-            fac: BasisRepr::new(kind, m),
-            pricing,
+            fac: EtaBasis::new(),
             a,
             b,
             b_shadow,
@@ -597,7 +494,7 @@ impl Engine {
                 .is_some_and(|cap| self.refactorizations as u64 >= cap)
     }
 
-    /// Entry guard of both pricing loops (once per [`Engine::optimize`]
+    /// Entry guard of the pricing loop (once per [`Engine::optimize`]
     /// call, off the per-pivot hot path): consumes an armed chaos fault and
     /// verifies the solution vector is finite. In-loop NaN creation is
     /// caught by the O(1) pivot-ratio check in [`Engine::apply_pivot`] —
@@ -639,19 +536,15 @@ impl Engine {
     }
 
     /// Rebuilds the basis factorization from scratch (the factorization may
-    /// permute basis slots so slot `r` pivots on row `r`), refreshes the
-    /// solution vectors from the RHS to shed accumulated drift, and
-    /// invalidates the maintained reduced costs. Returns `false` when the
-    /// basis is singular.
+    /// permute basis slots so slot `r` pivots on row `r`) and refreshes the
+    /// solution vectors from the RHS to shed accumulated drift. Returns
+    /// `false` when the basis is singular.
     fn refactorize(&mut self) -> bool {
         self.refactorizations += 1;
         if !self.fac.refactorize(&self.a, &mut self.basis) {
             return false;
         }
         self.recompute_solution_vectors();
-        if let Some(p) = &mut self.pricing {
-            p.valid = false;
-        }
         true
     }
 
@@ -738,12 +631,8 @@ impl Engine {
     }
 
     /// Applies the pivot `(row, entering)` with `self.work` holding
-    /// `B⁻¹ a_entering` (pattern in `self.touched`): updates the basis
-    /// factorization, the basis and both solution vectors. When the
-    /// factorization rejects the update as numerically untrustworthy (a
-    /// vanishing Forrest–Tomlin diagonal), the basis is refactorized from
-    /// scratch instead — an error there means the exchanged basis is
-    /// singular beyond repair.
+    /// `B⁻¹ a_entering` (pattern in `self.touched`): appends the pivot's eta
+    /// and updates the basis and both solution vectors.
     fn apply_pivot(&mut self, row: usize, entering: usize) -> Result<(), LpError> {
         let w_r = self.work[row];
         let theta = self.x_b[row] / w_r;
@@ -767,20 +656,17 @@ impl Engine {
         }
         self.x_b[row] = theta;
         self.x_shadow[row] = theta_shadow;
-        let clean = self.fac.update(row, &self.work, &self.touched);
+        self.fac.update(row, &self.work, &self.touched);
         self.in_basis[self.basis[row]] = false;
         self.in_basis[entering] = true;
         self.basis[row] = entering;
         self.pivots += 1;
-        if !clean && !self.refactorize() {
-            return Err(self.fail(RecoveryTrigger::SingularBasis));
-        }
         Ok(())
     }
 
     /// Scheduled refactorization: every [`REFACTOR_EVERY`] pivots (fewer on
-    /// the aggressive recovery rung), or when the factorization's stored
-    /// fill outgrows a small multiple of the matrix.
+    /// the aggressive recovery rung), or when the eta file's stored fill
+    /// outgrows a small multiple of the matrix.
     fn maybe_refactorize(&mut self) -> Result<(), LpError> {
         let due = self.fac.updates_since_refactor() >= self.refactor_every
             || self.fac.wants_refactor(&self.a);
@@ -892,21 +778,11 @@ impl Engine {
 
     /// Runs simplex iterations on the current cost vector until optimal
     /// (all reduced costs ≥ −EPS over `0..allowed_hi`), unbounded, or out
-    /// of budget. Returns the pivots performed. Dispatches on the pricing
-    /// engine: devex with maintained reduced costs on the LU path, the
-    /// legacy rotating Dantzig sections on the eta path.
+    /// of budget. Returns the pivots performed. Every iteration is a BTRAN
+    /// plus a Dantzig scan over rotating partial-pricing sections (Bland's
+    /// rule after a stall).
     fn optimize(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
         self.entry_guard()?;
-        if self.pricing.is_some() {
-            self.optimize_devex(allowed_hi, budget)
-        } else {
-            self.optimize_dantzig(allowed_hi, budget)
-        }
-    }
-
-    /// The legacy pricing loop: BTRAN + Dantzig scan over rotating partial
-    /// pricing sections every iteration (Bland's rule after a stall).
-    fn optimize_dantzig(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
         let mut stalled = 0usize;
         let mut last_obj = self.phase_objective();
         let mut performed = 0usize;
@@ -966,203 +842,6 @@ impl Engine {
                     if !self.refactorize() {
                         return Err(self.fail(RecoveryTrigger::SingularBasis));
                     }
-                }
-            }
-        }
-        Err(self.fail(RecoveryTrigger::IterationLimit))
-    }
-
-    /// Recomputes the maintained reduced costs from scratch: one BTRAN of
-    /// the basic costs plus one pass over the matrix (`rc_j = c_j − yᵀa_j`).
-    fn recompute_reduced_costs(&mut self) {
-        self.compute_pricing_vector();
-        let p = self.pricing.as_mut().expect("devex path");
-        for j in 0..self.n_total {
-            p.rc[j] = self.cost[j] - self.a.col_dot(j, &self.price);
-        }
-        p.valid = true;
-        p.dirty = false;
-    }
-
-    /// Computes the pivot row `α = (B⁻ᵀ e_row)ᵀ A` into the pricing scratch
-    /// (`ρ` dense, `α` scattered over the CSR mirror). Must run *before*
-    /// the pivot is applied: the devex rc/weight recurrences are algebra on
-    /// the pre-pivot basis.
-    fn compute_pivot_row(&mut self, row: usize) {
-        let p = self.pricing.as_mut().expect("devex path");
-        p.rho.iter_mut().for_each(|v| *v = 0.0);
-        p.rho[row] = 1.0;
-        self.fac.btran(&mut p.rho);
-        p.aepoch = p.aepoch.wrapping_add(1);
-        if p.aepoch == 0 {
-            p.astamp.iter_mut().for_each(|s| *s = 0);
-            p.aepoch = 1;
-        }
-        p.acols.clear();
-        for (i, &ri) in p.rho.iter().enumerate() {
-            if ri.abs() <= 1e-12 {
-                continue;
-            }
-            for e in p.row_ptr[i]..p.row_ptr[i + 1] {
-                let j = p.col_idx[e] as usize;
-                if p.astamp[j] != p.aepoch {
-                    p.astamp[j] = p.aepoch;
-                    p.alpha[j] = 0.0;
-                    p.acols.push(j as u32);
-                }
-                p.alpha[j] += ri * p.vals[e];
-            }
-        }
-    }
-
-    /// The devex pricing loop (LU path). Reduced costs are maintained
-    /// incrementally and re-verified by a full recompute before any
-    /// optimality or unboundedness conclusion, so the incremental updates
-    /// are a pure accelerator, never a correctness dependency.
-    fn optimize_devex(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
-        let mut stalled = 0usize;
-        let mut last_obj = self.phase_objective();
-        let mut performed = 0usize;
-        let mut banned: Vec<usize> = Vec::new();
-        while performed < budget {
-            let use_bland = self.force_bland || stalled >= STALL_SWITCH;
-            if !self.pricing.as_ref().expect("devex path").valid {
-                self.recompute_reduced_costs();
-            }
-            // Entering: max rc²/weight (Bland: first improving index), ties
-            // to the smallest index for determinism.
-            let entering = {
-                let p = self.pricing.as_ref().expect("devex path");
-                let mut best: Option<usize> = None;
-                let mut best_score = 0.0;
-                for j in 0..allowed_hi {
-                    if self.col_blocked(j) || banned.contains(&j) {
-                        continue;
-                    }
-                    let rc = p.rc[j];
-                    if rc < -EPS {
-                        if use_bland {
-                            best = Some(j);
-                            break;
-                        }
-                        let score = rc * rc / p.weights[j];
-                        if score > best_score {
-                            best_score = score;
-                            best = Some(j);
-                        }
-                    }
-                }
-                best
-            };
-            let Some(entering) = entering else {
-                // No improving column in the maintained rc. If pivots were
-                // applied since the last full recompute the rc may have
-                // drifted: re-verify before certifying this vertex.
-                if self.pricing.as_ref().expect("devex path").dirty {
-                    self.recompute_reduced_costs();
-                    continue;
-                }
-                if banned.is_empty() {
-                    return Ok(performed);
-                }
-                // Same reasoning as the Dantzig loop: banned columns may
-                // still price negative, so this vertex cannot be certified.
-                return Err(self.fail(RecoveryTrigger::IterationLimit));
-            };
-            // As in the Dantzig loop: only an actual pivot costs budget.
-            self.budget_guard()?;
-            self.ftran_col(entering);
-            let Some(row) = self.choose_leaving(use_bland) else {
-                // Unboundedness is only trustworthy under fresh reduced
-                // costs (the FTRANed column is factual, the sign of its
-                // reduced cost may have drifted).
-                if self.pricing.as_ref().expect("devex path").dirty {
-                    self.recompute_reduced_costs();
-                    if self.pricing.as_ref().expect("devex path").rc[entering] < -EPS {
-                        return Err(LpError::Unbounded);
-                    }
-                    continue;
-                }
-                return Err(LpError::Unbounded);
-            };
-            if self.work[row].abs() < PIVOT_TOL {
-                if self.fac.updates_since_refactor() > 0 {
-                    if !self.refactorize() {
-                        return Err(self.fail(RecoveryTrigger::SingularBasis));
-                    }
-                } else {
-                    banned.push(entering);
-                }
-                continue;
-            }
-            // Pivot row for the rc/weight recurrences, from the pre-pivot
-            // basis. Its entry at the entering column must agree with the
-            // FTRANed column's pivot element — a mismatch means the
-            // factorization has drifted, so refresh and retry instead of
-            // pivoting on inconsistent data.
-            self.compute_pivot_row(row);
-            let alpha_rq = self
-                .pricing
-                .as_ref()
-                .expect("devex path")
-                .alpha_at(entering);
-            let w_r = self.work[row];
-            if (alpha_rq - w_r).abs() > 1e-6 * w_r.abs().max(1.0) {
-                if !self.refactorize() {
-                    return Err(self.fail(RecoveryTrigger::SingularBasis));
-                }
-                continue;
-            }
-            let rc_q = self.pricing.as_ref().expect("devex path").rc[entering];
-            let leaving_col = self.basis[row];
-            self.apply_pivot(row, entering)?;
-            performed += 1;
-            banned.clear();
-            // Devex recurrences over the pivot row's support (exact algebra
-            // on the pre-pivot quantities; columns with α_rj = 0 keep their
-            // reduced cost unchanged).
-            {
-                let p = self.pricing.as_mut().expect("devex path");
-                let ratio = rc_q / alpha_rq;
-                let wq = p.weights[entering].max(1.0);
-                for idx in 0..p.acols.len() {
-                    let j = p.acols[idx] as usize;
-                    if j == entering || self.in_basis[j] {
-                        continue;
-                    }
-                    let arj = p.alpha[j];
-                    if arj == 0.0 {
-                        continue;
-                    }
-                    p.rc[j] -= ratio * arj;
-                    let r = arj / alpha_rq;
-                    let cand = r * r * wq;
-                    if cand > p.weights[j] {
-                        p.weights[j] = cand;
-                    }
-                }
-                p.rc[entering] = 0.0;
-                p.rc[leaving_col] = -ratio;
-                p.weights[leaving_col] = (wq / (alpha_rq * alpha_rq)).max(1.0);
-                if p.weights[leaving_col] > 1e8 {
-                    // The reference framework has degraded: restart it.
-                    p.weights.iter_mut().for_each(|w| *w = 1.0);
-                }
-                p.dirty = true;
-            }
-            self.maybe_refactorize()?;
-            // Anti-stalling bookkeeping, same as the Dantzig loop.
-            let obj = self.phase_objective();
-            if obj < last_obj - EPS * (1.0 + last_obj.abs()) {
-                stalled = 0;
-                last_obj = obj;
-            } else {
-                stalled += 1;
-                if stalled == STALL_SWITCH
-                    && self.fac.updates_since_refactor() > 0
-                    && !self.refactorize()
-                {
-                    return Err(self.fail(RecoveryTrigger::SingularBasis));
                 }
             }
         }
@@ -1253,9 +932,6 @@ impl Engine {
             }
         }
         self.price_ptr = 0;
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
         let budget = phase1_budget(self.m, self.n_total);
         self.optimize(self.artificial_start, budget)?;
         Ok(self.phase_objective() <= 1e-6)
@@ -1270,9 +946,6 @@ impl Engine {
         self.cost.iter_mut().for_each(|c| *c = 0.0);
         for j in self.artificial_start..self.n_total {
             self.cost[j] = 1.0;
-        }
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
         }
         let budget = phase1_budget(self.m, self.n_total);
         self.optimize(self.n_total, budget)?;
@@ -1343,9 +1016,6 @@ impl Engine {
             self.cost[j] = sense * problem.objective_coeff(VarId(j));
         }
         self.price_ptr = 0;
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
         let budget = phase2_budget(self.m, self.n_total);
         self.optimize(self.artificial_start, budget)
     }
@@ -1358,8 +1028,8 @@ impl Engine {
     /// under such pivots (`rc'ⱼ = rcⱼ − rc_q·αⱼ/α_q` with `rc_q = 0`), which
     /// also means the eligible set is fixed once at entry (a leaving basic
     /// column re-joins it with reduced cost zero). Whenever the secondary
-    /// optimum is unique, every pivot path — cold, warm-started, eta or LU —
-    /// lands on the same vertex, which is the whole point: downstream
+    /// optimum is unique, every pivot path — cold, warm-started, or on any
+    /// recovery rung — lands on the same vertex, which is the whole point: downstream
     /// consumers that read the *values* (greedy node scores, tree
     /// decompositions) become independent of the solve history.
     ///
@@ -1388,9 +1058,6 @@ impl Engine {
         }
         self.restrict = restrict;
         self.price_ptr = 0;
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
         let budget = phase2_budget(self.m, self.n_total);
         let out = match self.optimize(self.artificial_start, budget) {
             // A descent ray of the *secondary* does not make the problem
@@ -1571,7 +1238,7 @@ fn poison_hint(hint: &Basis, hash: u64) -> Basis {
 /// The [`RecoveryRung::Dense`] oracle: materializes the overlay into a
 /// cloned problem and solves it with the dense tableau simplex, which
 /// shares none of the sparse engine's failure modes (no factorization, no
-/// incremental pricing) and ignores user budgets — the ladder's guaranteed
+/// partial pricing) and ignores user budgets — the ladder's guaranteed
 /// termination. The returned basis marks every row redundant: it installs
 /// as the unit basis if ever used as a hint, which the repair phase handles
 /// like any other stale hint. The dense oracle reports no duals.
@@ -1605,10 +1272,6 @@ fn solve_with_overlay(
     let start = std::time::Instant::now();
     let budget = budget.or_else(crate::solver::default_budget);
     let plan: Option<ChaosPlan> = crate::chaos::plan(|| signature(problem));
-    let swapped = match crate::solver::default_basis() {
-        BasisKind::Lu => BasisKind::Eta,
-        BasisKind::Eta => BasisKind::Lu,
-    };
 
     // The deterministic recovery ladder. Rung 0 and rung 1 are byte-for-byte
     // the pre-ladder engine: the ordinary (possibly warm-started) attempt,
@@ -1617,17 +1280,16 @@ fn solve_with_overlay(
     // re-entered artificial and fixed column must have stayed at level zero
     // through phase 2 — and a violation (or any error: the hint can steer
     // the iteration budget into a corner the cold path avoids) discards the
-    // hint entirely. Rungs 2–4 only run on failures the old engine would
-    // have surfaced raw: tighter refactorization against drift, the other
-    // basis backend against factorization bugs, Bland's rule against
-    // cycling. The dense oracle terminates the ladder unconditionally.
+    // hint entirely. Rungs 2–3 only run on failures the old engine would
+    // have surfaced raw: tighter refactorization against drift, Bland's
+    // rule against cycling. The dense oracle terminates the ladder
+    // unconditionally.
     // Structured verdicts (Infeasible/Unbounded/InvalidModel) and exhausted
     // user budgets never escalate.
-    const LADDER: [RecoveryRung; 5] = [
+    const LADDER: [RecoveryRung; 4] = [
         RecoveryRung::First,
         RecoveryRung::Cold,
         RecoveryRung::AggressiveRefactor,
-        RecoveryRung::SwappedBasis,
         RecoveryRung::Bland,
     ];
     let mut attempts = 0usize;
@@ -1641,7 +1303,6 @@ fn solve_with_overlay(
         let mut cfg = EngineCfg::new(budget);
         match rung {
             RecoveryRung::AggressiveRefactor => cfg.refactor_every = AGGRESSIVE_REFACTOR_EVERY,
-            RecoveryRung::SwappedBasis => cfg.basis = Some(swapped),
             RecoveryRung::Bland => cfg.force_bland = true,
             _ => {}
         }
@@ -1747,7 +1408,6 @@ fn solve_with_overlay(
             phase1_pivots: attempt.phase1_pivots,
             phase2_pivots: attempt.phase2_pivots,
             refactorizations: attempt.engine.refactorizations,
-            basis: attempt.engine.fac.kind(),
             warm: if rung == RecoveryRung::First {
                 warm
             } else if hint_offered {
@@ -1936,12 +1596,8 @@ fn attempt_solve(
 
 fn print_stats(stats: &SolveStats, status: &str) {
     eprintln!(
-        "pm-lp: engine=revised basis={} m={} n={} nnz={} phase1_pivots={} phase2_pivots={} \
+        "pm-lp: engine=revised m={} n={} nnz={} phase1_pivots={} phase2_pivots={} \
          refactorizations={} warm={} elapsed={:.3}s status={status}",
-        match stats.basis {
-            BasisKind::Eta => "eta",
-            BasisKind::Lu => "lu",
-        },
         stats.m,
         stats.n,
         stats.nnz,
@@ -2277,9 +1933,8 @@ mod tests {
 
     #[test]
     fn secondary_objective_canonicalizes_the_optimal_vertex() {
-        // (Engine-pair agreement on the canonical vertex is covered by the
-        // serialized `lu_vs_eta` differential binary; flipping the global
-        // default basis here would race the parallel lib tests.)
+        // (Agreement with the dense oracle on the canonical vertex is
+        // covered by the `diff_engines` differential binary.)
         let lp = tied_face_lp();
         let s = solve_with_hint(&lp, None).unwrap().solution;
         approx(s.objective, 1.0);

@@ -93,7 +93,7 @@ pub(crate) fn perturb_rhs(b: &mut [f64], row_relations: &[Relation], n: usize) {
 pub enum SolverKind {
     /// The dense two-phase tableau simplex ([`crate::simplex`]).
     Dense,
-    /// The sparse revised simplex with a product-form basis
+    /// The sparse revised simplex with a product-form eta-file basis
     /// ([`crate::revised`]). The default.
     Revised,
 }
@@ -133,63 +133,6 @@ pub fn set_default_solver(kind: SolverKind) {
         match kind {
             SolverKind::Dense => 1,
             SolverKind::Revised => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The basis factorizations available to the revised engine (see
-/// [`crate::basis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BasisKind {
-    /// Product-form eta file: one elementary transform appended per pivot.
-    /// Kept as the differential oracle for the LU engine
-    /// (`PM_LP_BASIS=eta`).
-    Eta,
-    /// Sparse LU (Markowitz-ordered, threshold partial pivoting) with
-    /// Forrest–Tomlin pivot updates. The default: per-pivot FTRAN/BTRAN
-    /// cost stays flat as updates accumulate instead of growing with the
-    /// eta-file length. Also switches pricing from rotating Dantzig
-    /// sections to devex.
-    Lu,
-}
-
-/// Process-wide programmatic basis override (0 = unset, 1 = eta, 2 = LU).
-static BASIS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `PM_LP_BASIS` environment variable, parsed once.
-fn env_basis() -> Option<BasisKind> {
-    static ENV: OnceLock<Option<BasisKind>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("PM_LP_BASIS").ok().as_deref() {
-        Some("eta") => Some(BasisKind::Eta),
-        Some("lu") => Some(BasisKind::Lu),
-        Some(other) => {
-            eprintln!("pm-lp: ignoring unknown PM_LP_BASIS value {other:?} (eta|lu)");
-            None
-        }
-        None => None,
-    })
-}
-
-/// The basis factorization used by the revised engine: a programmatic
-/// [`set_default_basis`] override wins, then `PM_LP_BASIS=eta|lu`, then LU.
-pub fn default_basis() -> BasisKind {
-    match BASIS_OVERRIDE.load(Ordering::Relaxed) {
-        1 => BasisKind::Eta,
-        2 => BasisKind::Lu,
-        _ => env_basis().unwrap_or(BasisKind::Lu),
-    }
-}
-
-/// Overrides the process-wide default basis factorization (e.g. from a
-/// test or CLI flag). Takes precedence over `PM_LP_BASIS`; `None` clears
-/// the override.
-pub fn set_default_basis(kind: Option<BasisKind>) {
-    BASIS_OVERRIDE.store(
-        match kind {
-            None => 0,
-            Some(BasisKind::Eta) => 1,
-            Some(BasisKind::Lu) => 2,
         },
         Ordering::Relaxed,
     );

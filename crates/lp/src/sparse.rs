@@ -141,33 +141,6 @@ impl CscMatrix {
             out[r as usize] += v;
         }
     }
-
-    /// Builds a compressed-sparse-row mirror: `(row_ptr, col_idx, values)`
-    /// with row `i` occupying `row_ptr[i]..row_ptr[i + 1]`, column indices
-    /// increasing inside a row. Used by the devex pricing path to gather a
-    /// pivot row `ρᵀA` without scanning every column.
-    pub fn to_csr(&self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-        let mut row_ptr = vec![0usize; self.m + 1];
-        for &r in &self.row_idx {
-            row_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..self.m {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let mut next = row_ptr.clone();
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        for j in 0..self.n {
-            let (rows, vals) = self.col(j);
-            for (&r, &v) in rows.iter().zip(vals) {
-                let slot = next[r as usize];
-                next[r as usize] += 1;
-                col_idx[slot] = j as u32;
-                values[slot] = v;
-            }
-        }
-        (row_ptr, col_idx, values)
-    }
 }
 
 /// Incremental triplet-based builder for sparse [`LpProblem`]s.

@@ -5,29 +5,20 @@
 //! optimum, a budget-degraded anytime solution, or a structured [`LpError`]
 //! — never a panic. And recovery must be byte-deterministic: the same seed
 //! and fault always walk the same rung sequence and return the same
-//! solution, regardless of thread or basis backend.
+//! solution, regardless of thread.
 
 use pm_lp::revised::{resolve_with_bounds, solve_with_hint, BoundsOverlay, RecoveryRung};
 use pm_lp::{
-    solve_with_hint_budgeted, with_chaos, BasisKind, ChaosConfig, ChaosFault, LpProblem, Objective,
-    Relation, SolveBudget, SolverKind, VarId,
+    solve_with_hint_budgeted, with_chaos, ChaosConfig, ChaosFault, LpProblem, Objective, Relation,
+    SolveBudget, SolverKind, VarId,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard};
 
 const TOL: f64 = 1e-6;
-
-/// `set_default_basis` is process-global; tests in this binary run in
-/// parallel, so basis-flipping tests hold this lock.
-static BASIS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    BASIS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const FAULTS: [ChaosFault; 4] = [
     ChaosFault::SingularBasis,
@@ -167,36 +158,6 @@ proptest! {
         prop_assert!(first == second, "rerun diverged under {:?}", cfg);
         let threaded = std::thread::spawn(run).join().expect("no panics on worker threads");
         prop_assert!(first == threaded, "spawned thread diverged under {:?}", cfg);
-    }
-
-    /// The rung walk does not depend on the basis backend: both defaults
-    /// take the same number of attempts to the same rung and agree on the
-    /// optimum (bit-identical values are *not* required across backends —
-    /// they walk different pivot paths).
-    #[test]
-    fn ladder_walk_is_basis_independent(
-        num_vars in 1usize..5,
-        num_cons in 0usize..5,
-        lp_seed in 0u64..100_000,
-        chaos_seed in 0u64..500,
-    ) {
-        let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
-        let cfg = ChaosConfig::all(chaos_seed);
-        let _guard = lock();
-        let mut runs = Vec::new();
-        for kind in [BasisKind::Lu, BasisKind::Eta] {
-            pm_lp::set_default_basis(Some(kind));
-            let out = with_chaos(Some(cfg), || solve_with_hint(&lp, None));
-            pm_lp::set_default_basis(None);
-            let out = out.expect("bounded feasible LP must recover");
-            runs.push((out.stats.attempts, out.stats.rung, out.solution.objective));
-        }
-        prop_assert!(runs[0].0 == runs[1].0, "attempt counts diverged across backends");
-        prop_assert!(runs[0].1 == runs[1].1, "winning rung diverged across backends");
-        prop_assert!(
-            (runs[0].2 - runs[1].2).abs() <= TOL * (1.0 + runs[0].2.abs()),
-            "objectives diverged across backends: {} vs {}", runs[0].2, runs[1].2
-        );
     }
 
     /// Degradable budgets: an exhausted phase 2 yields a primal-feasible

@@ -1,10 +1,12 @@
 //! Differential tests: the sparse revised simplex and the dense tableau
 //! simplex must agree on status and objective for every random LP, including
-//! the degenerate generators and Beale's cycling example that exercised the
-//! PR 1 anti-degeneracy work. The dense engine is the oracle; any
-//! disagreement beyond 1e-6 is an engine bug, not an alternate optimum
-//! (optimal *objectives* are unique even when optimal vertices are not).
+//! the degenerate generators, Beale's cycling example, warm-chained
+//! re-solves under bounds overlays and the secondary-objective vertex. The
+//! dense engine is the oracle; any disagreement beyond 1e-6 is an engine
+//! bug, not an alternate optimum (optimal *objectives* are unique even when
+//! optimal vertices are not).
 
+use pm_lp::revised::{resolve_with_bounds, Basis, BoundsOverlay};
 use pm_lp::{LpError, LpProblem, Objective, Relation, SolverKind, VarId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -82,8 +84,106 @@ fn random_lp(num_vars: usize, num_cons: usize, seed: u64) -> LpProblem {
     lp
 }
 
+/// The revised engine's walk down a warm chain: solve cold, then repeatedly
+/// re-solve under the overlays (masked-style zero-fixes plus RHS
+/// overrides), feeding each accepted basis forward as the next hint.
+/// Returns the status or objective at every step.
+fn revised_warm_chain(lp: &LpProblem, overlays: &[BoundsOverlay]) -> Vec<Result<f64, LpError>> {
+    let mut out = Vec::with_capacity(overlays.len() + 1);
+    let mut hint: Option<Basis> = None;
+    let base = BoundsOverlay::default();
+    for overlay in std::iter::once(&base).chain(overlays) {
+        match resolve_with_bounds(lp, overlay, hint.as_ref()) {
+            Ok(o) => {
+                out.push(Ok(o.solution.objective));
+                hint = Some(o.basis);
+            }
+            Err(e) => out.push(Err(e)),
+        }
+    }
+    out
+}
+
+/// The dense oracle on the same chain: every overlay is materialized into
+/// a fresh copy of the problem and solved cold.
+fn dense_chain(lp: &LpProblem, overlays: &[BoundsOverlay]) -> Vec<Result<f64, LpError>> {
+    let base = BoundsOverlay::default();
+    std::iter::once(&base)
+        .chain(overlays)
+        .map(|overlay| {
+            let mut materialized = lp.clone();
+            for &v in &overlay.fix_zero {
+                materialized.fix_var(v);
+            }
+            for &(row, rhs) in &overlay.rhs {
+                materialized.set_rhs(row, rhs);
+            }
+            materialized
+                .solve_with(SolverKind::Dense)
+                .map(|s| s.objective)
+        })
+        .collect()
+}
+
+fn random_overlays(lp: &LpProblem, chain: usize, seed: u64) -> Vec<BoundsOverlay> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x00ff_1ce0_f00d);
+    let n = lp.num_vars();
+    let m = lp.num_constraints();
+    (0..chain)
+        .map(|_| {
+            let mut overlay = BoundsOverlay::default();
+            for j in 0..n {
+                if rng.gen_bool(0.2) {
+                    overlay.fix_zero.push(VarId(j));
+                }
+            }
+            for r in 0..m {
+                if rng.gen_bool(0.25) {
+                    overlay.rhs.push((r, rng.gen_range(-1.0..4.0)));
+                }
+            }
+            overlay
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // Warm-chained overlay re-solves: each revised step warm-starts from
+    // the previous basis, so the eta file's updates run on installed (not
+    // self-built) bases, often after a bound repair. Statuses and
+    // objectives must agree with the dense oracle at every step.
+    #[test]
+    fn engines_agree_along_warm_chains(
+        num_vars in 2usize..7,
+        num_cons in 1usize..8,
+        chain in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let lp = random_lp(num_vars, num_cons, seed);
+        let overlays = random_overlays(&lp, chain, seed);
+        let revised = revised_warm_chain(&lp, &overlays);
+        let dense = dense_chain(&lp, &overlays);
+        prop_assert_eq!(revised.len(), dense.len());
+        for (step, (r, d)) in revised.iter().zip(&dense).enumerate() {
+            match (r, d) {
+                (Ok(ro), Ok(dobj)) => prop_assert!(
+                    (ro - dobj).abs() <= TOL * (1.0 + dobj.abs()),
+                    "step {}: objectives disagree: revised {} vs dense {}",
+                    step, ro, dobj
+                ),
+                (Err(re), Err(de)) => {
+                    prop_assert!(re == de, "step {}: revised {:?} vs dense {:?}", step, re, de)
+                }
+                _ => prop_assert!(
+                    false,
+                    "step {}: status mismatch: revised {:?} vs dense {:?}",
+                    step, r, d
+                ),
+            }
+        }
+    }
 
     #[test]
     fn engines_agree_on_random_lps(
@@ -291,4 +391,48 @@ fn engines_agree_on_a_transportation_lp() {
     let revised = lp.solve_with(SolverKind::Revised).unwrap();
     assert!((dense.objective - 120.0).abs() < 1e-6);
     assert!((revised.objective - 120.0).abs() < 1e-6);
+}
+
+/// With a lexicographic secondary objective the engines must agree not just
+/// on the objective but on the *point*: the secondary makes the optimal
+/// vertex unique, so the revised engine — cold or warm-started — and the
+/// dense tableau land on the same values no matter how differently they
+/// walk there.
+#[test]
+fn secondary_objective_makes_the_vertex_engine_independent() {
+    // max x + y + z over x + y + z <= 2, x <= 1, z <= 1: the whole simplex
+    // face x + y + z = 2 is optimal. On it the secondary 3x + 2y + z equals
+    // 4 + x − z, minimized at x = 0, z = 1 → the unique canonical vertex
+    // (0, 1, 1).
+    let mut lp = LpProblem::new(Objective::Maximize);
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    let z = lp.add_var("z");
+    for v in [x, y, z] {
+        lp.set_objective_coeff(v, 1.0);
+    }
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Le, 2.0);
+    lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
+    lp.add_constraint(vec![(z, 1.0)], Relation::Le, 1.0);
+    lp.set_secondary_coeff(x, 3.0);
+    lp.set_secondary_coeff(y, 2.0);
+    lp.set_secondary_coeff(z, 1.0);
+    let dense = lp.solve_with(SolverKind::Dense).unwrap();
+    let cold = pm_lp::revised::solve_with_hint(&lp, None).unwrap();
+    let warm = pm_lp::revised::solve_with_hint(&lp, Some(&cold.basis)).unwrap();
+    assert!((dense.objective - 2.0).abs() < TOL);
+    for revised in [&cold.solution, &warm.solution] {
+        assert!((revised.objective - 2.0).abs() < TOL);
+        for (a, b) in dense.values().iter().zip(revised.values()) {
+            assert!(
+                (a - b).abs() < TOL,
+                "vertices differ: dense {:?} vs revised {:?}",
+                dense.values(),
+                revised.values()
+            );
+        }
+    }
+    assert!((dense.value(x)).abs() < TOL);
+    assert!((dense.value(y) - 1.0).abs() < TOL);
+    assert!((dense.value(z) - 1.0).abs() < TOL);
 }
