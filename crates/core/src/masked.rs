@@ -117,7 +117,7 @@ pub struct MaskedFlowLp {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own occupation row index.
     edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` defers to `PM_LP_BUDGET`.
+    /// Deterministic per-solve work caps; `None` means unlimited.
     budget: Option<SolveBudget>,
 }
 
@@ -314,13 +314,12 @@ impl MaskedFlowLp {
     }
 
     /// Sets the deterministic per-solve work caps for every subsequent
-    /// [`MaskedFlowLp::solve`] of this template (`None` defers to the
-    /// `PM_LP_BUDGET` default). Under an exhausted budget a solve returns a
-    /// primal-feasible anytime solution whose stats flag
-    /// [`pm_lp::SolveStats::degraded`] instead of erroring — a session
-    /// under pressure serves a certified-suboptimal schedule rather than
-    /// failing. Set it before sharing the template across threads: solves
-    /// take `&self`.
+    /// [`MaskedFlowLp::solve`] of this template (`None` means unlimited).
+    /// Under an exhausted budget a solve returns a primal-feasible anytime
+    /// solution whose stats flag [`pm_lp::SolveStats::degraded`] instead
+    /// of erroring — a session under pressure serves a certified-suboptimal
+    /// schedule rather than failing. Set it before sharing the template
+    /// across threads: solves take `&self`.
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
     }
@@ -372,11 +371,6 @@ impl MaskedFlowLp {
         if let Some(n) = &self.n {
             self.problem.set_secondary_coeff(n[e.index()], cost);
         }
-    }
-
-    /// The number of commodities of the template.
-    pub fn commodity_count(&self) -> usize {
-        self.commodity_targets.len()
     }
 
     /// Solves the formulation restricted to the active nodes of `mask`,
@@ -541,7 +535,7 @@ pub struct MaskedMultiSourceUb {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own occupation row index.
     edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` defers to `PM_LP_BUDGET`.
+    /// Deterministic per-solve work caps; `None` means unlimited.
     budget: Option<SolveBudget>,
 }
 

@@ -151,11 +151,6 @@ impl CommoditySet {
         self.commodities.is_empty()
     }
 
-    /// Total demand `Σ_c d_c` (messages per super-unit across commodities).
-    pub fn total_demand(&self) -> f64 {
-        self.commodities.iter().map(|c| c.demand).sum()
-    }
-
     /// The single-commodity [`MulticastInstance`] of commodity `c` (a
     /// platform clone; used to drive the per-commodity decomposition and
     /// the `k = 1` delegation).
@@ -210,7 +205,7 @@ pub struct MultiFlowLp {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own shared occupation row index.
     edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` defers to `PM_LP_BUDGET`.
+    /// Deterministic per-solve work caps; `None` means unlimited.
     budget: Option<SolveBudget>,
 }
 
@@ -376,8 +371,8 @@ impl MultiFlowLp {
         &self.set
     }
 
-    /// Sets the deterministic per-solve work caps (`None` defers to
-    /// `PM_LP_BUDGET`); see [`MaskedFlowLp::set_budget`].
+    /// Sets the deterministic per-solve work caps (`None` means
+    /// unlimited); see [`MaskedFlowLp::set_budget`].
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
     }

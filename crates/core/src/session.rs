@@ -199,7 +199,7 @@ pub enum SessionEvent {
     },
     /// A [`Session::set_budget`].
     SetBudget {
-        /// The new per-solve work caps (`None` defers to `PM_LP_BUDGET`).
+        /// The new per-solve work caps (`None` means unlimited).
         budget: Option<SolveBudget>,
     },
     /// A [`Session::set_sim_config`].
@@ -604,7 +604,7 @@ pub struct Session {
     pristine: MulticastInstance,
     /// Write-ahead journal of completed state-changing operations.
     journal: Vec<SessionEvent>,
-    /// Per-solve work caps applied to every template (None = `PM_LP_BUDGET`).
+    /// Per-solve work caps applied to every template (`None` = unlimited).
     budget: Option<SolveBudget>,
     /// Chaos hook: number of upcoming solve dispatches that panic.
     panic_armed: u8,
@@ -694,12 +694,12 @@ impl Session {
     }
 
     /// Sets the deterministic per-solve work caps ([`SolveBudget`]) applied
-    /// to every template solve of this session (`None` defers to the
-    /// `PM_LP_BUDGET` default). Under an exhausted budget a phase-2 solve
-    /// returns its best primal-feasible *anytime* point flagged degraded —
-    /// counted in [`SessionStats::degraded_solves`] — instead of erroring,
-    /// so a drifting platform keeps getting schedules even when solve work
-    /// is capped.
+    /// to every template solve of this session (`None` means unlimited).
+    /// Under an exhausted budget a phase-2 solve returns its best
+    /// primal-feasible *anytime* point flagged degraded — counted in
+    /// [`SessionStats::degraded_solves`] — instead of erroring, so a
+    /// drifting platform keeps getting schedules even when solve work is
+    /// capped.
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
         for template in self.flow_templates.iter_mut().flatten() {

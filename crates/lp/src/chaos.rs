@@ -12,10 +12,7 @@
 //! 1. a thread-local scope ([`with_chaos`]) — used by tests so parallel
 //!    test threads cannot interfere,
 //! 2. the process-wide programmatic config ([`set_chaos`]) — used by
-//!    `fig11 --chaos`, whose solves run on real worker threads,
-//! 3. the `PM_LP_CHAOS` environment variable, parsed once. Format:
-//!    `FAULT:SEED` with `FAULT` ∈ `singular | hint | stall | nan | all`
-//!    (plain `SEED` means `all`).
+//!    `fig11 --chaos`, whose solves run on real worker threads.
 //!
 //! Whether a given solve is struck, which fault fires, and for how many
 //! ladder attempts is a pure function of the seed and the problem's
@@ -24,8 +21,7 @@
 //! be read with [`counters`].
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 /// One injectable solver fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,23 +102,26 @@ thread_local! {
     static SCOPED: Cell<Option<Option<ChaosConfig>>> = const { Cell::new(None) };
 }
 
-/// Process-wide programmatic config (0 = unset, 1 = off, 2 = on).
-static GLOBAL_STATE: AtomicU8 = AtomicU8::new(0);
+/// Process-wide programmatic config: whether it is on, and its seed and
+/// fault mask. `set_chaos` stores `GLOBAL_ON = true` with `Release` after
+/// the seed and mask, and `current` loads it with `Acquire`, so a reader
+/// that sees the flag on also sees the config it publishes.
+static GLOBAL_ON: AtomicBool = AtomicBool::new(false);
 static GLOBAL_SEED: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_FAULTS: AtomicU8 = AtomicU8::new(0);
 
-/// Sets (or clears, with `None`) the process-wide chaos configuration.
-/// Takes precedence over `PM_LP_CHAOS`; a [`with_chaos`] scope on the
-/// current thread still wins. Used by drivers whose solves fan out over
-/// worker threads (thread-locals would not reach them).
+/// Sets (or clears, with `None`) the process-wide chaos configuration. A
+/// [`with_chaos`] scope on the current thread still wins. Used by drivers
+/// whose solves fan out over worker threads (thread-locals would not reach
+/// them).
 pub fn set_chaos(config: Option<ChaosConfig>) {
     match config {
         Some(cfg) => {
             GLOBAL_SEED.store(cfg.seed, Ordering::Relaxed);
             GLOBAL_FAULTS.store(cfg.faults, Ordering::Relaxed);
-            GLOBAL_STATE.store(2, Ordering::Relaxed);
+            GLOBAL_ON.store(true, Ordering::Release);
         }
-        None => GLOBAL_STATE.store(1, Ordering::Relaxed),
+        None => GLOBAL_ON.store(false, Ordering::Relaxed),
     }
 }
 
@@ -141,50 +140,15 @@ pub fn with_chaos<R>(config: Option<ChaosConfig>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// `PM_LP_CHAOS`, parsed once.
-fn env_chaos() -> Option<ChaosConfig> {
-    static ENV: OnceLock<Option<ChaosConfig>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("PM_LP_CHAOS").ok()?;
-        let (fault, seed) = match raw.split_once(':') {
-            Some((f, s)) => (f.trim(), s.trim()),
-            None => ("all", raw.trim()),
-        };
-        let faults = match fault {
-            "singular" => F_SINGULAR,
-            "hint" => F_HINT,
-            "stall" => F_STALL,
-            "nan" => F_NAN,
-            "all" => F_ALL,
-            other => {
-                eprintln!(
-                    "pm-lp: ignoring unknown PM_LP_CHAOS fault {other:?} \
-                     (singular|hint|stall|nan|all)"
-                );
-                return None;
-            }
-        };
-        let Ok(seed) = seed.parse::<u64>() else {
-            eprintln!("pm-lp: ignoring unparsable PM_LP_CHAOS seed {seed:?}");
-            return None;
-        };
-        Some(ChaosConfig { seed, faults })
-    })
-}
-
 /// The chaos configuration in effect on the current thread, if any.
 pub fn current() -> Option<ChaosConfig> {
     if let Some(scoped) = SCOPED.with(|s| s.get()) {
         return scoped;
     }
-    match GLOBAL_STATE.load(Ordering::Relaxed) {
-        2 => Some(ChaosConfig {
-            seed: GLOBAL_SEED.load(Ordering::Relaxed),
-            faults: GLOBAL_FAULTS.load(Ordering::Relaxed),
-        }),
-        1 => None,
-        _ => env_chaos(),
-    }
+    GLOBAL_ON.load(Ordering::Acquire).then(|| ChaosConfig {
+        seed: GLOBAL_SEED.load(Ordering::Relaxed),
+        faults: GLOBAL_FAULTS.load(Ordering::Relaxed),
+    })
 }
 
 /// The injection plan for one solve: which fault fires, on how many leading

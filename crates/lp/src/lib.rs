@@ -15,17 +15,13 @@
 //!   refactorization and [warm starts](revised::WarmStartCache),
 //! * [`basis`] — the [`EtaBasis`] factorization behind the revised
 //!   simplex: a product-form eta file, one eta appended per pivot,
-//! * [`presolve`] — optional problem reductions (empty/singleton rows,
-//!   fixed and implied-free columns) with full primal/dual postsolve
-//!   recovery (`PM_LP_PRESOLVE=1`),
 //! * [`simplex`] — the dense two-phase tableau simplex, kept as the
-//!   `PM_LP_SOLVER=dense` fallback and as the differential-testing oracle,
-//! * [`solver`] — engine selection (`PM_LP_SOLVER`,
-//!   [`set_default_solver`]) and deterministic work caps
-//!   ([`SolveBudget`], `PM_LP_BUDGET`),
-//! * [`chaos`] — seeded fault injection (`PM_LP_CHAOS`) driving the
-//!   recovery ladder (see [`revised::RecoveryRung`]) for self-healing
-//!   tests and the chaos benchmark.
+//!   last recovery rung and as the differential-testing oracle,
+//! * [`solver`] — engine selection ([`set_default_solver`]) and
+//!   deterministic pivot caps ([`SolveBudget`]),
+//! * [`chaos`] — seeded fault injection ([`with_chaos`], [`set_chaos`])
+//!   driving the recovery ladder (see [`revised::RecoveryRung`]) for
+//!   self-healing tests and the chaos benchmark.
 //!
 //! Both engines share the anti-degeneracy toolkit (seeded shadow-RHS
 //! perturbation, Dantzig→Bland stall switching, seeded ratio-test
@@ -53,7 +49,6 @@
 
 pub mod basis;
 pub mod chaos;
-pub mod presolve;
 pub mod problem;
 pub mod revised;
 pub mod simplex;
@@ -65,14 +60,11 @@ pub use chaos::{
     counters as chaos_counters, reset_counters as reset_chaos_counters, set_chaos, with_chaos,
     ChaosConfig, ChaosCounters, ChaosFault,
 };
-pub use presolve::Presolved;
 pub use problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 pub use revised::{
     resolve_with_bounds, resolve_with_bounds_budgeted, solve_with_hint_budgeted, Basis,
     BoundsOverlay, RecoveryRung, RecoveryTrigger, SolveOutcome, SolveStats, WarmStartCache,
     WarmStatus,
 };
-pub use solver::{
-    default_budget, default_solver, set_default_solver, stats_enabled, SolveBudget, SolverKind,
-};
+pub use solver::{default_solver, set_default_solver, stats_enabled, SolveBudget, SolverKind};
 pub use sparse::{CscMatrix, SparseBuilder};

@@ -323,16 +323,6 @@ impl LpProblem {
         self.fixed[var.index()]
     }
 
-    /// Releases every fixed variable.
-    pub fn clear_fixed(&mut self) {
-        self.fixed.iter_mut().for_each(|f| *f = false);
-    }
-
-    /// Number of variables currently fixed to zero.
-    pub fn fixed_count(&self) -> usize {
-        self.fixed.iter().filter(|&&f| f).count()
-    }
-
     /// Updates the right-hand side of constraint `row` in place.
     ///
     /// The sign of the RHS participates in the structural signature (it
@@ -397,14 +387,6 @@ impl LpProblem {
             .map_or(0.0, |&(_, c)| c)
     }
 
-    /// Updates the objective coefficient of a variable in place — the
-    /// objective-side counterpart of [`LpProblem::set_coeff`]. Objective
-    /// coefficients never participate in the warm-start signature, so this
-    /// edit, too, keeps every cached basis reusable.
-    pub fn set_obj(&mut self, var: VarId, coeff: f64) {
-        self.set_objective_coeff(var, coeff);
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.names.len()
@@ -420,7 +402,9 @@ impl LpProblem {
         &self.names[var.index()]
     }
 
-    /// Sets the objective coefficient of a variable.
+    /// Sets the objective coefficient of a variable. Objective coefficients
+    /// never participate in the warm-start signature, so an in-place edit
+    /// keeps every cached basis reusable.
     pub fn set_objective_coeff(&mut self, var: VarId, coeff: f64) {
         self.objective_coeffs[var.index()] = coeff;
     }
@@ -469,11 +453,6 @@ impl LpProblem {
     /// the lexicographic cleanup phase exactly in this case).
     pub fn has_secondary(&self) -> bool {
         self.secondary.iter().any(|&c| c != 0.0)
-    }
-
-    /// Removes the secondary objective entirely.
-    pub fn clear_secondary(&mut self) {
-        self.secondary.clear();
     }
 
     /// Adds the constraint `sum terms (relation) rhs`. Terms referring to the
@@ -557,34 +536,9 @@ impl LpProblem {
         self.solve_with(crate::solver::default_solver())
     }
 
-    /// Solves the problem with an explicitly chosen engine. With
-    /// `PM_LP_PRESOLVE=1` the problem is first reduced by
-    /// [`crate::presolve::presolve`] (and the reduced solution postsolved
-    /// back), unless a [`crate::revised::WarmStartCache`] scope is active on
-    /// the current thread — presolve changes the constraint pattern and
-    /// would defeat scoped warm-start reuse — or a lexicographic secondary
-    /// objective is set (the reductions do not model it).
+    /// Solves the problem with an explicitly chosen engine.
     pub fn solve_with(&self, solver: crate::solver::SolverKind) -> Result<LpSolution, LpError> {
         self.validate()?;
-        if crate::solver::presolve_enabled()
-            && !crate::revised::scope_active()
-            && !self.has_secondary()
-        {
-            // Presolve is an accelerator, never a correctness dependency:
-            // a reduction or postsolve failure (other than a genuine
-            // infeasibility proof, which is a final verdict) falls back to
-            // solving the original, unreduced problem.
-            match crate::presolve::presolve(self) {
-                Ok(presolved) if presolved.is_reduced() => match presolved.solve_with(solver) {
-                    Ok(solution) => return Ok(solution),
-                    Err(LpError::Infeasible) => return Err(LpError::Infeasible),
-                    Err(_) => {}
-                },
-                Ok(_) => {}
-                Err(LpError::Infeasible) => return Err(LpError::Infeasible),
-                Err(_) => {}
-            }
-        }
         match solver {
             crate::solver::SolverKind::Dense => {
                 // Keep the scope's solve accounting truthful when the dense

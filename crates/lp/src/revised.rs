@@ -489,9 +489,6 @@ impl Engine {
         budget
             .max_pivots
             .is_some_and(|cap| self.pivots as u64 >= cap)
-            || budget
-                .max_refactorizations
-                .is_some_and(|cap| self.refactorizations as u64 >= cap)
     }
 
     /// Entry guard of the pricing loop (once per [`Engine::optimize`]
@@ -525,7 +522,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Per-iteration budget guard (two comparisons): flags user-cap
+    /// Per-iteration budget guard (one comparison): flags user-cap
     /// exhaustion so the caller can degrade instead of escalating.
     fn budget_guard(&mut self) -> Result<(), LpError> {
         if self.user_budget_exhausted() {
@@ -1207,7 +1204,7 @@ pub fn resolve_with_bounds(
 /// reaching feasibility, the current vertex is returned as an anytime
 /// solution flagged [`LpSolution::degraded`] — its objective is a valid
 /// bound on the optimum (primal feasibility is maintained throughout
-/// phase 2). `budget: None` falls back to the `PM_LP_BUDGET` default.
+/// phase 2). `budget: None` is unlimited.
 pub fn resolve_with_bounds_budgeted(
     problem: &LpProblem,
     overlay: &BoundsOverlay,
@@ -1270,7 +1267,6 @@ fn solve_with_overlay(
     budget: Option<SolveBudget>,
 ) -> Result<SolveOutcome, LpError> {
     let start = std::time::Instant::now();
-    let budget = budget.or_else(crate::solver::default_budget);
     let plan: Option<ChaosPlan> = crate::chaos::plan(|| signature(problem));
 
     // The deterministic recovery ladder. Rung 0 and rung 1 are byte-for-byte
@@ -1822,23 +1818,6 @@ impl WarmStartCache {
         drop(restore);
         result
     }
-}
-
-/// The `(hits, misses)` counters of the thread's active [`WarmStartCache`]
-/// scope, or `None` outside any scope. Callers that need per-phase
-/// attribution of scoped solves (e.g. per-heuristic LP accounting in
-/// `pm-core`) read the counters before and after a phase and keep the
-/// delta.
-pub fn scoped_cache_counts() -> Option<(u64, u64)> {
-    ACTIVE_CACHE.with(|slot| slot.borrow().as_ref().map(|c| (c.hits, c.misses)))
-}
-
-/// Whether a [`WarmStartCache`] scope is active on the current thread.
-/// `PM_LP_PRESOLVE=1` routing checks this: presolve changes the constraint
-/// pattern, so scoped solves skip it to keep their warm-start signatures
-/// stable.
-pub(crate) fn scope_active() -> bool {
-    ACTIVE_CACHE.with(|slot| slot.borrow().is_some())
 }
 
 /// Records a solve that bypassed the warm-start machinery (the dense
@@ -2446,22 +2425,6 @@ mod tests {
             full.solution.objective.to_bits()
         );
         assert!(!exact.solution.degraded());
-    }
-
-    #[test]
-    fn refactorization_budgets_cap_and_degrade_too() {
-        let lp = climbing_lp();
-        let budget = SolveBudget {
-            max_pivots: None,
-            max_refactorizations: Some(0),
-        };
-        // Zero refactorizations still allows the initial pivots up to the
-        // first forced refactorization; whatever comes back must be a
-        // feasible anytime point or a structured error.
-        match solve_with_hint_budgeted(&lp, None, Some(budget)) {
-            Ok(o) => assert!(lp.is_feasible(o.solution.values(), 1e-6)),
-            Err(e) => assert_eq!(e, LpError::IterationLimit),
-        }
     }
 
     #[test]

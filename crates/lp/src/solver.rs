@@ -101,33 +101,17 @@ pub enum SolverKind {
 /// Process-wide programmatic override (0 = unset, 1 = dense, 2 = revised).
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// The `PM_LP_SOLVER` environment variable, parsed once.
-fn env_solver() -> Option<SolverKind> {
-    static ENV: OnceLock<Option<SolverKind>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("PM_LP_SOLVER").ok().as_deref() {
-        Some("dense") => Some(SolverKind::Dense),
-        Some("revised") => Some(SolverKind::Revised),
-        Some(other) => {
-            eprintln!("pm-lp: ignoring unknown PM_LP_SOLVER value {other:?} (dense|revised)");
-            None
-        }
-        None => None,
-    })
-}
-
-/// The engine used by [`crate::LpProblem::solve`]: a programmatic
-/// [`set_default_solver`] override wins, then `PM_LP_SOLVER=dense|revised`,
-/// then the revised simplex.
+/// The engine used by [`crate::LpProblem::solve`]: the
+/// [`set_default_solver`] override if one is set, else the revised simplex.
 pub fn default_solver() -> SolverKind {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => SolverKind::Dense,
-        2 => SolverKind::Revised,
-        _ => env_solver().unwrap_or(SolverKind::Revised),
+        _ => SolverKind::Revised,
     }
 }
 
 /// Overrides the process-wide default engine (e.g. from a `--solver` CLI
-/// flag). Takes precedence over `PM_LP_SOLVER`.
+/// flag).
 pub fn set_default_solver(kind: SolverKind) {
     OVERRIDE.store(
         match kind {
@@ -141,9 +125,9 @@ pub fn set_default_solver(kind: SolverKind) {
 /// Deterministic work caps for one solve attempt (see
 /// `docs/robustness.md`).
 ///
-/// Budgets are expressed in *pivots* and *refactorizations* — units that are
-/// byte-deterministic across machines and thread counts — never wall-clock
-/// time. A `None` cap is unlimited. When phase 2 runs out of budget after a
+/// Budgets are expressed in *pivots* — a unit that is byte-deterministic
+/// across machines and thread counts — never wall-clock time. A `None` cap
+/// is unlimited. When phase 2 runs out of budget after a
 /// feasible point has been reached, the engine returns the current vertex as
 /// an *anytime* solution flagged [`crate::LpSolution::degraded`] instead of
 /// erroring; running out during phase 1 (no feasible point yet) reports
@@ -154,70 +138,15 @@ pub fn set_default_solver(kind: SolverKind) {
 pub struct SolveBudget {
     /// Cap on simplex pivots per solve attempt (all phases combined).
     pub max_pivots: Option<u64>,
-    /// Cap on basis refactorizations per solve attempt.
-    pub max_refactorizations: Option<u64>,
 }
 
 impl SolveBudget {
-    /// An unlimited budget (both caps off) — the default.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// A budget capping only pivots.
+    /// A budget capping pivots.
     pub fn pivots(max: u64) -> Self {
         SolveBudget {
             max_pivots: Some(max),
-            max_refactorizations: None,
         }
     }
-
-    /// Whether any cap is set.
-    pub fn is_limited(&self) -> bool {
-        self.max_pivots.is_some() || self.max_refactorizations.is_some()
-    }
-}
-
-/// The `PM_LP_BUDGET` environment variable, parsed once. Format:
-/// `PIVOTS` or `PIVOTS:REFACTORIZATIONS`, each a decimal count or `0` /
-/// empty for unlimited. Applies to every solve that is not given an
-/// explicit budget by its caller.
-pub fn default_budget() -> Option<SolveBudget> {
-    static ENV: OnceLock<Option<SolveBudget>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("PM_LP_BUDGET").ok()?;
-        let mut parts = raw.splitn(2, ':');
-        let parse = |s: Option<&str>| -> Option<u64> {
-            let s = s.unwrap_or("").trim();
-            if s.is_empty() {
-                return None;
-            }
-            match s.parse::<u64>() {
-                Ok(0) => None,
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!("pm-lp: ignoring unparsable PM_LP_BUDGET component {s:?}");
-                    None
-                }
-            }
-        };
-        let budget = SolveBudget {
-            max_pivots: parse(parts.next()),
-            max_refactorizations: parse(parts.next()),
-        };
-        budget.is_limited().then_some(budget)
-    })
-}
-
-/// Whether `PM_LP_PRESOLVE=1` routes [`crate::LpProblem::solve`] /
-/// [`crate::LpProblem::solve_with`] through [`crate::presolve::presolve`]
-/// (parsed once). Off by default, and bypassed while a
-/// [`crate::revised::WarmStartCache`] scope is active on the current thread:
-/// presolve changes the constraint pattern, which would defeat the
-/// structural-signature warm-start reuse those scopes provide.
-pub fn presolve_enabled() -> bool {
-    static PRESOLVE: OnceLock<bool> = OnceLock::new();
-    *PRESOLVE.get_or_init(|| std::env::var_os("PM_LP_PRESOLVE").is_some_and(|v| v == "1"))
 }
 
 /// Whether `PM_LP_STATS=1` diagnostics are enabled (parsed once). Public so

@@ -431,25 +431,6 @@ impl WeightedTreeSet {
         Self::from_flows_with_order(instance, target_flows, &order)
     }
 
-    /// Per-commodity decomposition: [`WeightedTreeSet::from_flows`] applied
-    /// to several commodities of a shared platform, each with its *own*
-    /// source, target set and flow matrix (normalized to one message of
-    /// that commodity). Returns one tree set per commodity, in input order;
-    /// the first failing commodity aborts the whole decomposition.
-    ///
-    /// The instances must be built on the same platform (same edge ids);
-    /// this is the decomposition half of the multi-commodity super-period
-    /// pipeline, whose packing and coloring halves live in `pm-core` and
-    /// [`crate::schedule::PeriodicSchedule::from_weighted_tree_groups`].
-    pub fn from_flow_groups(
-        groups: &[(&MulticastInstance, &[Vec<f64>])],
-    ) -> Result<Vec<WeightedTreeSet>, TreeError> {
-        groups
-            .iter()
-            .map(|(instance, rows)| Self::from_flows(instance, rows))
-            .collect()
-    }
-
     /// [`WeightedTreeSet::from_flows`] with an explicit target processing
     /// order (a permutation of `0..targets.len()`). The order decides which
     /// target's path lays down the skeleton each peeling round — different

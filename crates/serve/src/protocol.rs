@@ -475,15 +475,6 @@ impl Request {
         }
     }
 
-    /// Whether the request only buffers drift (edge/node churn) — these are
-    /// acknowledged immediately and coalesced until the next barrier.
-    pub fn is_drift(&self) -> bool {
-        matches!(
-            self,
-            Request::SetEdgeCost { .. } | Request::DisableNode { .. } | Request::EnableNode { .. }
-        )
-    }
-
     /// Serializes to a single JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
         let fields = match self {
